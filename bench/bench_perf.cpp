@@ -11,13 +11,16 @@
 
 #include "bench_util.hpp"
 #include "core/cas_generator.hpp"
+#include "core/config_protocol.hpp"
 #include "core/test_bus.hpp"
 #include "netlist/faultsim.hpp"
 #include "netlist/gatesim.hpp"
 #include "netlist/opt.hpp"
 #include "netlist/packed_gatesim.hpp"
+#include "p1500/wrapper.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/simulation.hpp"
+#include "soc/core_model.hpp"
 #include "tpg/fault.hpp"
 #include "tpg/lfsr.hpp"
 #include "tpg/synthcore.hpp"
@@ -126,6 +129,87 @@ void BM_GateSimCore(benchmark::State& state) {
       benchmark::Counter(1.0, benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_GateSimCore)->Arg(256)->Arg(1024)->Arg(4096);
+
+/// The Simulate stage's inner loop in miniature: a gate-level NetlistCore
+/// behind its P1500 wrapper in IntestParallel, shifting random scan data
+/// in from the wrapper's parallel inputs on every clock. One iteration is
+/// one Simulation::step (settle over wrapper and core, then tick), so
+/// sim_cycles_per_sec is the behavioural kernel's clock rate, dominated
+/// by the core's gate sweeps; sweeps_per_cycle records how many it took.
+/// The wrapper is registered first, in data-flow order, so the new scan
+/// bits and the captured state reach the core in the same delta pass and
+/// a lazy GateSim settles both with one sweep per clock. A simulator that
+/// also swept right after capture would pay two.
+void BM_NetlistCoreShift(benchmark::State& state) {
+  sim::Simulation sim;
+  soc::NetlistCore core(sim, "core", simcore_for(state.range(0)));
+  const soc::CoreTerminals& t = core.terminals();
+
+  p1500::FunctionalPorts func;
+  func.core_in = t.func_in;
+  func.core_out = t.func_out;
+  for (std::size_t i = 0; i < t.func_in.size(); ++i)
+    func.sys_in.push_back(&sim.wire("sysin" + std::to_string(i),
+                                    Logic4::Zero));
+  for (std::size_t o = 0; o < t.func_out.size(); ++o)
+    func.sys_out.push_back(&sim.wire("sysout" + std::to_string(o),
+                                     Logic4::Zero));
+  p1500::CoreTestPorts test_ports;
+  test_ports.scan_en = t.scan_en;
+  test_ports.core_clk_en = t.core_clk_en;
+  test_ports.scan_in = t.scan_in;
+  test_ports.scan_out = t.scan_out;
+  test_ports.chain_lengths = t.chain_lengths;
+  p1500::TamPorts tam_ports;
+  tam_ports.wsi = &sim.wire("wsi", Logic4::Zero);
+  tam_ports.wso = &sim.wire("wso", Logic4::Zero);
+  for (std::size_t c = 0; c < t.scan_in.size(); ++c) {
+    tam_ports.wpi.push_back(&sim.wire("wpi" + std::to_string(c),
+                                      Logic4::Zero));
+    tam_ports.wpo.push_back(&sim.wire("wpo" + std::to_string(c),
+                                      Logic4::Zero));
+  }
+  p1500::WscWires wsc{&sim.wire("select_wir", Logic4::Zero),
+                      &sim.wire("shift_wr", Logic4::Zero),
+                      &sim.wire("capture_wr", Logic4::Zero),
+                      &sim.wire("update_wr", Logic4::Zero)};
+  const std::vector<sim::Wire*> wpi = tam_ports.wpi;
+  p1500::Wrapper wrapper(sim, "wrap", std::move(func), std::move(test_ports),
+                         tam_ports, wsc);
+  sim.add(&wrapper);
+  sim.add(&core);
+  sim.reset();
+
+  // Load IntestParallel into the WIR over the serial path.
+  const BitVector wir = tam::build_config_stream({tam::ConfigEntry{
+      p1500::kWirBits,
+      static_cast<std::uint64_t>(p1500::WrapperInstr::IntestParallel)}});
+  wsc.select_wir->set(true);
+  wsc.shift_wr->set(true);
+  for (std::size_t b = 0; b < wir.size(); ++b) {
+    tam_ports.wsi->set(wir.get(b));
+    sim.step();
+  }
+  wsc.shift_wr->set(false);
+  wsc.update_wr->set(true);
+  sim.step();
+  wsc.update_wr->set(false);
+  wsc.select_wir->set(false);
+  wsc.shift_wr->set(true);  // shift from here on
+
+  Rng rng(3);
+  const std::uint64_t sweeps0 = core.gatesim().sweeps();
+  for (auto _ : state) {
+    for (sim::Wire* w : wpi) w->set(rng.coin());
+    sim.step();
+  }
+  state.counters["sim_cycles_per_sec"] =
+      benchmark::Counter(1.0, benchmark::Counter::kIsIterationInvariantRate);
+  state.counters["sweeps_per_cycle"] =
+      static_cast<double>(core.gatesim().sweeps() - sweeps0) /
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_NetlistCoreShift)->Arg(256)->Arg(1024);
 
 /// 64-wide bit-parallel simulation of the same core: 64 patterns per pass.
 /// patterns_per_sec here / patterns_per_sec of BM_GateSimCore at the same

@@ -42,22 +42,32 @@ void CasBehavior::evaluate() {
 
   if (isa_.is_test(instr_)) {
     // TEST (Fig. 4c): route selected wires to the core, bypass the rest.
-    const SwitchScheme scheme = isa_.decode(instr_);
+    bind_routes();
     for (unsigned w = 0; w < n; ++w) {
-      const auto port = scheme.port_of_wire(w);
-      if (port.has_value())
-        ports_.s[w].set(ports_.i[*port].get());  // heuristic return path
+      const unsigned port = port_of_wire_[w];
+      if (port != kNoPort)
+        ports_.s[w].set(ports_.i[port].get());  // heuristic return path
       else
         ports_.s[w].set(ports_.e[w].get());
     }
     for (unsigned j = 0; j < p; ++j)
-      ports_.o[j].set(ports_.e[scheme.wire_of_port(j)].get());
+      ports_.o[j].set(ports_.e[wire_of_port_[j]].get());
     return;
   }
 
   // BYPASS (Fig. 4b) — also the safe fallback for invalid codes.
   for (unsigned w = 0; w < n; ++w) ports_.s[w].set(ports_.e[w].get());
   for (unsigned j = 0; j < p; ++j) ports_.o[j].set(Logic4::Z);
+}
+
+void CasBehavior::bind_routes() {
+  if (routes_code_ == instr_) return;
+  const SwitchScheme scheme = isa_.decode(instr_);
+  wire_of_port_ = scheme.assignment();
+  port_of_wire_.assign(isa_.n(), kNoPort);
+  for (unsigned j = 0; j < wire_of_port_.size(); ++j)
+    port_of_wire_[wire_of_port_[j]] = j;
+  routes_code_ = instr_;
 }
 
 void CasBehavior::tick() {

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/instruction.hpp"
 #include "sim/module.hpp"
@@ -64,10 +65,22 @@ class CasBehavior : public sim::Module {
   [[nodiscard]] unsigned p() const noexcept { return isa_.p(); }
 
  private:
+  /// Decodes the TEST routes of instr_ unless they are already cached.
+  void bind_routes();
+
   CasPorts ports_;
   InstructionSet isa_;
   BitVector shift_reg_;
   std::uint64_t instr_ = InstructionSet::kBypassCode;
+
+  // Route tables of the TEST code routes_code_ (SwitchScheme decoded once
+  // per code, not once per settle pass). Keyed by the code itself, so no
+  // instruction change can leave them stale; the BYPASS key it starts
+  // with is never a TEST code, so the first TEST evaluation decodes.
+  static constexpr unsigned kNoPort = ~0u;
+  std::uint64_t routes_code_ = InstructionSet::kBypassCode;
+  std::vector<unsigned> port_of_wire_;  // kNoPort: wire bypasses
+  std::vector<unsigned> wire_of_port_;
 };
 
 }  // namespace casbus::tam

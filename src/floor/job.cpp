@@ -74,6 +74,12 @@ void harvest_tester(const soc::SocTester& tester, JobResult& result) {
   result.engine.sim_eval_passes = stats.eval_passes;
   result.engine.sim_cell_evals = stats.cell_evals;
   result.engine.sim_sweep_cell_evals = stats.sweep_cell_evals;
+  const soc::KernelStats kernel = tester.kernel_stats();
+  result.engine.kernel_cycles = kernel.sim.cycles;
+  result.engine.kernel_settles = kernel.sim.settles;
+  result.engine.kernel_delta_passes = kernel.sim.delta_passes;
+  result.engine.kernel_gate_evals = kernel.gate_eval_requests;
+  result.engine.kernel_gate_sweeps = kernel.gate_sweeps;
 }
 
 /// Maps the floor-level engine knobs onto soc::TesterOptions.
@@ -474,6 +480,11 @@ void emit_job_telemetry(const JobTelemetry& obs, const JobResult& result,
     reg.add(ids.sched_prunes, e.sched_prunes);
     reg.add(ids.sched_improvements, e.sched_improvements);
     reg.add(ids.sched_leaves, e.sched_leaves_priced);
+    reg.add(ids.kernel_cycles, e.kernel_cycles);
+    reg.add(ids.kernel_settles, e.kernel_settles);
+    reg.add(ids.kernel_delta_passes, e.kernel_delta_passes);
+    reg.add(ids.kernel_gate_evals, e.kernel_gate_evals);
+    reg.add(ids.kernel_gate_sweeps, e.kernel_gate_sweeps);
   }
   if (obs.trace != nullptr) {
     obs::TraceSpan span;

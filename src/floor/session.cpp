@@ -168,6 +168,11 @@ FloorStats FloorSession::stats_snapshot() const {
   stats.sched_prunes = snap.counter("floor.sched.prunes");
   stats.sched_improvements = snap.counter("floor.sched.improvements");
   stats.sched_leaves_priced = snap.counter("floor.sched.leaves_priced");
+  stats.kernel_cycles = snap.counter("floor.kernel.cycles");
+  stats.kernel_settles = snap.counter("floor.kernel.settles");
+  stats.kernel_delta_passes = snap.counter("floor.kernel.delta_passes");
+  stats.kernel_gate_evals = snap.counter("floor.kernel.gate_evals");
+  stats.kernel_gate_sweeps = snap.counter("floor.kernel.gate_sweeps");
   for (std::size_t s = 0; s < kStageCount; ++s) {
     const obs::HistogramSnapshot* h = snap.histogram(
         std::string("floor.stage.") + stage_name(static_cast<Stage>(s)) +

@@ -25,6 +25,11 @@ FloorMetricIds register_floor_metrics(obs::Registry& registry) {
   ids.sched_prunes = registry.counter("floor.sched.prunes");
   ids.sched_improvements = registry.counter("floor.sched.improvements");
   ids.sched_leaves = registry.counter("floor.sched.leaves_priced");
+  ids.kernel_cycles = registry.counter("floor.kernel.cycles");
+  ids.kernel_settles = registry.counter("floor.kernel.settles");
+  ids.kernel_delta_passes = registry.counter("floor.kernel.delta_passes");
+  ids.kernel_gate_evals = registry.counter("floor.kernel.gate_evals");
+  ids.kernel_gate_sweeps = registry.counter("floor.kernel.gate_sweeps");
   const std::vector<double> buckets = obs::Registry::latency_buckets_us();
   for (std::size_t s = 0; s < kStageCount; ++s) {
     ids.stage_us[s] = registry.histogram(
@@ -89,7 +94,17 @@ std::string FloorStats::to_json() const {
      << "},\"sched\":{\"nodes_expanded\":" << sched_nodes_expanded
      << ",\"prunes\":" << sched_prunes
      << ",\"improvements\":" << sched_improvements
-     << ",\"leaves_priced\":" << sched_leaves_priced << "},\"stages\":{";
+     << ",\"leaves_priced\":" << sched_leaves_priced
+     << "},\"kernel\":{\"cycles\":" << kernel_cycles
+     << ",\"settles\":" << kernel_settles
+     << ",\"delta_passes\":" << kernel_delta_passes
+     << ",\"gate_evals\":" << kernel_gate_evals
+     << ",\"gate_sweeps\":" << kernel_gate_sweeps
+     << ",\"sweeps_per_cycle\":"
+     << num(per_cycle(kernel_gate_sweeps, kernel_cycles))
+     << ",\"settle_passes_per_cycle\":"
+     << num(per_cycle(kernel_delta_passes, kernel_cycles))
+     << "},\"stages\":{";
   for (std::size_t s = 0; s < kStageCount; ++s) {
     if (s != 0) os << ',';
     const StageDigest& d = stages[s];

@@ -53,6 +53,12 @@ struct FloorMetricIds {
   obs::MetricId sched_prunes{};         ///< floor.sched.prunes
   obs::MetricId sched_improvements{};   ///< floor.sched.improvements
   obs::MetricId sched_leaves{};         ///< floor.sched.leaves_priced
+  // Behavioural kernel work (soc::SocTester::kernel_stats()).
+  obs::MetricId kernel_cycles{};        ///< floor.kernel.cycles
+  obs::MetricId kernel_settles{};       ///< floor.kernel.settles
+  obs::MetricId kernel_delta_passes{};  ///< floor.kernel.delta_passes
+  obs::MetricId kernel_gate_evals{};    ///< floor.kernel.gate_evals
+  obs::MetricId kernel_gate_sweeps{};   ///< floor.kernel.gate_sweeps
   // Per-stage latency histograms (µs), indexed by Stage.
   std::array<obs::MetricId, kStageCount> stage_us{};  ///< floor.stage.*.us
 };
@@ -108,6 +114,13 @@ struct FloorStats {
   std::uint64_t sched_prunes = 0;
   std::uint64_t sched_improvements = 0;
   std::uint64_t sched_leaves_priced = 0;
+
+  // Behavioural kernel work.
+  std::uint64_t kernel_cycles = 0;
+  std::uint64_t kernel_settles = 0;
+  std::uint64_t kernel_delta_passes = 0;
+  std::uint64_t kernel_gate_evals = 0;
+  std::uint64_t kernel_gate_sweeps = 0;
 
   // Per-stage latency digests, indexed by Stage.
   std::array<StageDigest, kStageCount> stages{};

@@ -11,25 +11,26 @@ GateSim::GateSim(std::shared_ptr<const LevelizedNetlist> lev)
     : lev_(std::move(lev)) {
   CASBUS_REQUIRE(lev_ != nullptr, "GateSim: null levelized netlist");
   net_val_.assign(nl().net_count(), Logic4::X);
-  cell_out_.assign(nl().cell_count(), Logic4::X);
   input_val_.assign(nl().inputs().size(), Logic4::X);
   dff_state_.assign(lev_->dff_cells().size(), Logic4::Zero);
+  dff_next_.resize(dff_state_.size());
 }
 
 void GateSim::reset(Logic4 state) {
   dff_state_.assign(lev_->dff_cells().size(), state);
   input_val_.assign(nl().inputs().size(), Logic4::X);
-  net_val_.assign(nl().net_count(), Logic4::X);
-  cell_out_.assign(nl().cell_count(), Logic4::X);
+  dirty_ = true;
 }
 
 void GateSim::set_input(const std::string& name, Logic4 v) {
-  input_val_[lev_->input_index(name)] = v;
+  set_input_index(lev_->input_index(name), v);
 }
 
 void GateSim::set_input_index(std::size_t index, Logic4 v) {
   CASBUS_REQUIRE(index < input_val_.size(), "input index out of range");
+  if (input_val_[index] == v) return;
   input_val_[index] = v;
+  dirty_ = true;
 }
 
 Logic4 GateSim::eval_cell(const Cell& c) const {
@@ -57,6 +58,13 @@ Logic4 GateSim::eval_cell(const Cell& c) const {
 }
 
 void GateSim::eval() {
+  ++eval_requests_;
+  eval_if_dirty();
+}
+
+void GateSim::sweep() {
+  ++sweeps_;
+  dirty_ = false;
   // Seed source nets: primary inputs and DFF outputs; tri-state nets start
   // at Z and accumulate driver resolution; everything else gets X until its
   // single driver is evaluated.
@@ -76,7 +84,6 @@ void GateSim::eval() {
   for (const CellId id : lev_->comb_order()) {
     const Cell& c = nl().cell(id);
     const Logic4 v = eval_cell(c);
-    cell_out_[id] = v;
     if (has_forces() && force_on_[c.out]) continue;  // stuck net stays stuck
     if (lev_->net_is_tri(c.out))
       net_val_[c.out] = resolve(net_val_[c.out], v);
@@ -94,50 +101,55 @@ void GateSim::set_force(NetId net, Logic4 v) {
   if (!force_on_[net]) ++n_forces_;
   force_on_[net] = true;
   force_[net] = v;
+  dirty_ = true;
 }
 
 void GateSim::clear_forces() {
   if (n_forces_ == 0) return;
   force_on_.assign(nl().net_count(), false);
   n_forces_ = 0;
+  dirty_ = true;
 }
 
 void GateSim::tick() {
   // Capture all D inputs simultaneously from the settled combinational
-  // values, then re-evaluate.
+  // values; propagating the new state is left to the next eval or read.
+  eval_if_dirty();
   const auto& dffs = lev_->dff_cells();
-  std::vector<Logic4> next(dffs.size());
   for (std::size_t i = 0; i < dffs.size(); ++i) {
     const Cell& c = nl().cell(dffs[i]);
     const Logic4 d = net_val_[c.in[0]];
     if (c.kind == CellKind::Dff) {
-      next[i] = is01(d) ? d : Logic4::X;
+      dff_next_[i] = is01(d) ? d : Logic4::X;
     } else {  // Dffe
       const Logic4 en = net_val_[c.in[1]];
       if (en == Logic4::One)
-        next[i] = is01(d) ? d : Logic4::X;
+        dff_next_[i] = is01(d) ? d : Logic4::X;
       else if (en == Logic4::Zero)
-        next[i] = dff_state_[i];
+        dff_next_[i] = dff_state_[i];
       else
-        next[i] = Logic4::X;
+        dff_next_[i] = Logic4::X;
     }
   }
-  dff_state_ = std::move(next);
-  eval();
+  dff_state_.swap(dff_next_);
+  dirty_ = true;
 }
 
-Logic4 GateSim::output(const std::string& name) const {
-  return net_val_[nl().outputs()[lev_->output_index(name)].net];
+Logic4 GateSim::output(const std::string& name) {
+  return output_index(lev_->output_index(name));
 }
 
-Logic4 GateSim::output_index(std::size_t index) const {
+Logic4 GateSim::output_index(std::size_t index) {
   CASBUS_REQUIRE(index < nl().outputs().size(), "output index out of range");
+  eval_if_dirty();
   return net_val_[nl().outputs()[index].net];
 }
 
 void GateSim::set_dff_state(std::size_t i, Logic4 v) {
   CASBUS_REQUIRE(i < dff_state_.size(), "dff index out of range");
+  if (dff_state_[i] == v) return;
   dff_state_[i] = v;
+  dirty_ = true;
 }
 
 }  // namespace casbus::netlist

@@ -7,6 +7,15 @@
 /// Tri-state nets (multiple Tribuf drivers) are resolved with the IEEE-1164
 /// rules from util/logic.hpp.
 ///
+/// Evaluation is lazy. Every mutator that can change a net value (an input
+/// set to a new value, a force, a flip-flop write, reset(), tick()) marks
+/// the simulator dirty; `eval()` sweeps only when it is dirty, and every
+/// read (`output*`, `net_value`) settles pending changes first. Callers may
+/// therefore call `eval()` as often as they like — a repeated call with
+/// unchanged stimulus costs one branch — and may skip it entirely before a
+/// read. Forces injected from outside (fault experiments) dirty the
+/// simulator like any other mutator, so no caller-side cache can go stale.
+///
 /// GateSim advances one pattern per eval pass; PackedGateSim
 /// (packed_gatesim.hpp) advances 64. Both share the levelization through
 /// LevelizedNetlist, so several simulators of the same design levelize once.
@@ -59,18 +68,22 @@ class GateSim {
   /// Drives primary input by position (order of declaration).
   void set_input_index(std::size_t index, Logic4 v);
 
-  /// Propagates combinational logic; one levelized pass.
+  /// Settles combinational logic: one levelized pass if anything changed
+  /// since the last one, nothing otherwise.
   void eval();
 
-  /// Rising clock edge: every DFF captures, then combinational re-eval.
+  /// Rising clock edge: settles pending changes, then every DFF captures
+  /// its D pin. The new state is not propagated here — the next eval() or
+  /// read does that, so a clock followed by new stimulus costs one sweep.
   void tick();
 
-  /// Convenience: eval() has already been called when reading outputs.
-  [[nodiscard]] Logic4 output(const std::string& name) const;
-  [[nodiscard]] Logic4 output_index(std::size_t index) const;
+  /// Primary output values; settle pending changes first.
+  [[nodiscard]] Logic4 output(const std::string& name);
+  [[nodiscard]] Logic4 output_index(std::size_t index);
 
-  /// Raw net inspection (post-eval).
-  [[nodiscard]] Logic4 net_value(NetId net) const {
+  /// Raw net inspection; settles pending changes first.
+  [[nodiscard]] Logic4 net_value(NetId net) {
+    eval_if_dirty();
     return net_val_.at(net);
   }
 
@@ -96,20 +109,35 @@ class GateSim {
   /// Removes all active forces.
   void clear_forces();
 
+  // --- work counters (observation only) -------------------------------------
+
+  /// eval() calls, and the levelized sweeps they (and reads) actually cost.
+  [[nodiscard]] std::uint64_t eval_requests() const noexcept {
+    return eval_requests_;
+  }
+  [[nodiscard]] std::uint64_t sweeps() const noexcept { return sweeps_; }
+
  private:
   [[nodiscard]] bool has_forces() const noexcept { return n_forces_ > 0; }
   [[nodiscard]] const Netlist& nl() const noexcept { return lev_->netlist(); }
 
   Logic4 eval_cell(const Cell& c) const;
+  void eval_if_dirty() {
+    if (dirty_) sweep();
+  }
+  void sweep();
 
   std::shared_ptr<const LevelizedNetlist> lev_;
   std::vector<Logic4> net_val_;
   std::vector<Logic4> input_val_;
   std::vector<Logic4> dff_state_;
-  std::vector<Logic4> cell_out_;     // last computed output per cell
+  std::vector<Logic4> dff_next_;   // tick() capture buffer
   std::vector<Logic4> force_;      // per-net forced value
   std::vector<bool> force_on_;     // per-net force active flag
   std::size_t n_forces_ = 0;
+  bool dirty_ = true;              // net_val_ may be stale
+  std::uint64_t eval_requests_ = 0;
+  std::uint64_t sweeps_ = 0;
 };
 
 }  // namespace casbus::netlist

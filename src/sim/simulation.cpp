@@ -66,11 +66,13 @@ void Simulation::reset() {
 }
 
 void Simulation::settle() {
+  ++counters_.settles;
   last_passes_ = 0;
   for (std::size_t pass = 0; pass < max_delta_; ++pass) {
     changes_ = 0;
     for (Module* m : modules_) m->evaluate();
     ++last_passes_;
+    ++counters_.delta_passes;
     if (changes_ == 0) return;
   }
   std::ostringstream os;
@@ -85,6 +87,7 @@ void Simulation::step(std::uint64_t n) {
     if (vcd_ != nullptr) vcd_->sample(cycle_);
     for (Module* m : modules_) m->tick();
     ++cycle_;
+    ++counters_.cycles;
   }
 }
 

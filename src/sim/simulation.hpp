@@ -25,6 +25,14 @@ namespace casbus::sim {
 
 class VcdWriter;
 
+/// Work counters of one Simulation since construction. Observation only:
+/// reset() restarts cycle() but never these.
+struct KernelCounters {
+  std::uint64_t cycles = 0;        ///< clock edges stepped
+  std::uint64_t settles = 0;       ///< settle() calls (step() makes one each)
+  std::uint64_t delta_passes = 0;  ///< evaluate() passes over every module
+};
+
 /// Owns the wires of a design, registers its modules, and advances time.
 ///
 /// Usage:
@@ -88,6 +96,11 @@ class Simulation {
     return last_passes_;
   }
 
+  /// Lifetime work counters (see KernelCounters).
+  [[nodiscard]] const KernelCounters& counters() const noexcept {
+    return counters_;
+  }
+
  private:
   friend class Wire;
   void note_change() noexcept { ++changes_; }
@@ -98,6 +111,7 @@ class Simulation {
   std::uint64_t changes_ = 0;
   std::size_t max_delta_ = 1000;
   std::size_t last_passes_ = 0;
+  KernelCounters counters_;
   VcdWriter* vcd_ = nullptr;
 };
 

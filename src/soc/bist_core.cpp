@@ -19,6 +19,7 @@ BistCore::BistCore(sim::Simulation& sim_ctx, std::string name,
     : CoreModel(std::move(name)),
       core_(tpg::make_synthetic_core(logic_spec)),
       sim_(core_.netlist),
+      ports_(sim_, core_.spec),
       cycles_(cycles),
       lfsr_width_(clamp_width(logic_spec.n_inputs, 2, 32)),
       misr_width_(clamp_width(logic_spec.n_outputs, 1, 32)) {
@@ -32,28 +33,32 @@ BistCore::BistCore(sim::Simulation& sim_ctx, std::string name,
 }
 
 std::uint32_t BistCore::run_reference() {
-  sim_.clear_forces();
-  sim_.reset();
+  // A private fault-free simulator sharing the levelization, so the
+  // engine's own simulator (and its work counters) only sees sessions.
+  netlist::GateSim ref(sim_.levelized());
   tpg::Lfsr lfsr = tpg::Lfsr::standard(lfsr_width_, 1);
   tpg::Misr misr(misr_width_);
-  for (std::uint32_t c = 0; c < cycles_; ++c) {
-    const std::uint32_t word = lfsr.state();
-    for (std::size_t i = 0; i < core_.spec.n_inputs; ++i)
-      sim_.set_input("pi" + std::to_string(i),
-                     to_logic(((word >> (i % lfsr_width_)) & 1u) != 0));
-    sim_.set_input("scan_en", false);
-    for (std::size_t ch = 0; ch < core_.spec.n_chains; ++ch)
-      sim_.set_input("si" + std::to_string(ch), false);
-    sim_.eval();
-    std::uint32_t resp = 0;
-    for (std::size_t o = 0; o < core_.spec.n_outputs; ++o)
-      if (sim_.output("po" + std::to_string(o)) == Logic4::One)
-        resp ^= 1u << (o % misr_width_);
-    misr.feed_word(resp);
-    sim_.tick();
-    lfsr.step();
-  }
+  for (std::uint32_t c = 0; c < cycles_; ++c) bist_cycle(ref, lfsr, misr);
   return misr.signature();
+}
+
+void BistCore::bist_cycle(netlist::GateSim& sim, tpg::Lfsr& lfsr,
+                          tpg::Misr& misr) {
+  const std::uint32_t word = lfsr.state();
+  for (std::size_t i = 0; i < ports_.pi.size(); ++i)
+    sim.set_input_index(
+        ports_.pi[i], to_logic(((word >> (i % lfsr_width_)) & 1u) != 0));
+  sim.set_input_index(ports_.scan_en, Logic4::Zero);
+  for (const std::size_t si : ports_.si)
+    sim.set_input_index(si, Logic4::Zero);
+  sim.eval();
+  std::uint32_t resp = 0;
+  for (std::size_t o = 0; o < ports_.po.size(); ++o)
+    if (sim.output_index(ports_.po[o]) == Logic4::One)
+      resp ^= 1u << (o % misr_width_);
+  misr.feed_word(resp);
+  sim.tick();
+  lfsr.step();
 }
 
 void BistCore::evaluate() {
@@ -78,22 +83,7 @@ void BistCore::tick() {
   start_seen_ = start;
   if (!running_) return;
 
-  // One BIST cycle: apply LFSR word, compact the response, advance.
-  const std::uint32_t word = lfsr_->state();
-  for (std::size_t i = 0; i < core_.spec.n_inputs; ++i)
-    sim_.set_input("pi" + std::to_string(i),
-                   to_logic(((word >> (i % lfsr_width_)) & 1u) != 0));
-  sim_.set_input("scan_en", false);
-  for (std::size_t ch = 0; ch < core_.spec.n_chains; ++ch)
-    sim_.set_input("si" + std::to_string(ch), false);
-  sim_.eval();
-  std::uint32_t resp = 0;
-  for (std::size_t o = 0; o < core_.spec.n_outputs; ++o)
-    if (sim_.output("po" + std::to_string(o)) == Logic4::One)
-      resp ^= 1u << (o % misr_width_);
-  misr_->feed_word(resp);
-  sim_.tick();
-  lfsr_->step();
+  bist_cycle(sim_, *lfsr_, *misr_);
 
   if (++elapsed_ >= cycles_) {
     running_ = false;

@@ -48,11 +48,20 @@ class BistCore : public CoreModel {
     return core_;
   }
 
+  /// Embedded logic simulator (its work counters feed kernel telemetry).
+  [[nodiscard]] const netlist::GateSim& gatesim() const noexcept {
+    return sim_;
+  }
+
  private:
   std::uint32_t run_reference();
+  /// One engine cycle on \p sim: applies the LFSR word, compacts the
+  /// response into the MISR, clocks the core and advances the LFSR.
+  void bist_cycle(netlist::GateSim& sim, tpg::Lfsr& lfsr, tpg::Misr& misr);
 
   tpg::SyntheticCore core_;
   netlist::GateSim sim_;
+  CorePortIndex ports_;
   std::uint32_t cycles_;
   unsigned lfsr_width_;
   unsigned misr_width_;

@@ -12,11 +12,26 @@ Logic4 as_logic(const sim::Wire* w) {
 }
 }  // namespace
 
+CorePortIndex::CorePortIndex(const netlist::GateSim& sim,
+                             const tpg::SyntheticCoreSpec& spec) {
+  const netlist::LevelizedNetlist& lev = *sim.levelized();
+  for (std::size_t i = 0; i < spec.n_inputs; ++i)
+    pi.push_back(lev.input_index("pi" + std::to_string(i)));
+  for (std::size_t o = 0; o < spec.n_outputs; ++o)
+    po.push_back(lev.output_index("po" + std::to_string(o)));
+  for (std::size_t c = 0; c < spec.n_chains; ++c) {
+    si.push_back(lev.input_index("si" + std::to_string(c)));
+    so.push_back(lev.output_index("so" + std::to_string(c)));
+  }
+  scan_en = lev.input_index("scan_en");
+}
+
 NetlistCore::NetlistCore(sim::Simulation& sim_ctx, std::string name,
                          tpg::SyntheticCore core)
     : CoreModel(std::move(name)),
       core_(std::move(core)),
-      sim_(core_.netlist) {
+      sim_(core_.netlist),
+      ports_(sim_, core_.spec) {
   const auto& spec = core_.spec;
   for (std::size_t i = 0; i < spec.n_inputs; ++i) {
     std::ostringstream os;
@@ -43,22 +58,20 @@ NetlistCore::NetlistCore(sim::Simulation& sim_ctx, std::string name,
 }
 
 void NetlistCore::evaluate() {
-  const auto& spec = core_.spec;
-  for (std::size_t i = 0; i < spec.n_inputs; ++i) {
-    const Logic4 v = as_logic(term_.func_in[i]);
-    sim_.set_input("pi" + std::to_string(i), is01(v) ? v : Logic4::Zero);
-  }
-  const Logic4 se = as_logic(term_.scan_en);
-  sim_.set_input("scan_en", is01(se) ? se : Logic4::Zero);
-  for (std::size_t c = 0; c < spec.n_chains; ++c) {
-    const Logic4 v = as_logic(term_.scan_in[c]);
-    sim_.set_input("si" + std::to_string(c), is01(v) ? v : Logic4::Zero);
-  }
-  sim_.eval();
-  for (std::size_t i = 0; i < spec.n_outputs; ++i)
-    term_.func_out[i]->set(sim_.output("po" + std::to_string(i)));
-  for (std::size_t c = 0; c < spec.n_chains; ++c)
-    term_.scan_out[c]->set(sim_.output("so" + std::to_string(c)));
+  const auto drive = [this](std::size_t index, const sim::Wire* w) {
+    const Logic4 v = as_logic(w);
+    sim_.set_input_index(index, is01(v) ? v : Logic4::Zero);
+  };
+  for (std::size_t i = 0; i < ports_.pi.size(); ++i)
+    drive(ports_.pi[i], term_.func_in[i]);
+  drive(ports_.scan_en, term_.scan_en);
+  for (std::size_t c = 0; c < ports_.si.size(); ++c)
+    drive(ports_.si[c], term_.scan_in[c]);
+  sim_.eval();  // sweeps only if an input (or a force) changed
+  for (std::size_t i = 0; i < ports_.po.size(); ++i)
+    term_.func_out[i]->set(sim_.output_index(ports_.po[i]));
+  for (std::size_t c = 0; c < ports_.so.size(); ++c)
+    term_.scan_out[c]->set(sim_.output_index(ports_.so[c]));
 }
 
 void NetlistCore::tick() {

@@ -29,6 +29,17 @@ struct CoreTerminals {
   sim::Wire* bist_pass = nullptr;
 };
 
+/// Positions of a tpg::SyntheticCore's named ports (`pi<i>`, `scan_en`,
+/// `si<c>`, `po<o>`, `so<c>`) in its GateSim, bound once at construction
+/// so per-cycle evaluation does no name lookups.
+struct CorePortIndex {
+  CorePortIndex(const netlist::GateSim& sim,
+                const tpg::SyntheticCoreSpec& spec);
+
+  std::vector<std::size_t> pi, si, po, so;
+  std::size_t scan_en = 0;
+};
+
 /// Base class of all core models.
 class CoreModel : public sim::Module {
  public:
@@ -69,6 +80,7 @@ class NetlistCore : public CoreModel {
  private:
   tpg::SyntheticCore core_;
   netlist::GateSim sim_;
+  CorePortIndex ports_;
 };
 
 }  // namespace casbus::soc

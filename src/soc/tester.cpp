@@ -20,9 +20,12 @@ SocTester::SocTester(Soc& soc, TesterOptions options)
 tpg::FaultSimulator& SocTester::golden_for(const CoreRef& ref) {
   auto it = golden_.find(ref);
   if (it == golden_.end()) {
-    const tpg::SyntheticCore& sc = synth_of(ref);
+    // Shares the levelization of the core's own simulator: each scan core
+    // is levelized once per job.
+    NetlistCore& core = core_at(ref).as_scan();
+    const tpg::SyntheticCore& sc = core.synth();
     auto fsim = std::make_unique<tpg::FaultSimulator>(
-        netlist::levelize(sc.netlist), options_.sim_mode);
+        core.gatesim().levelized(), options_.sim_mode);
     for (std::size_t i = 0; i < sc.spec.n_inputs; ++i)
       fsim->pin_input("pi" + std::to_string(i), false);
     fsim->pin_input("scan_en", false);
@@ -61,6 +64,33 @@ netlist::SimStats SocTester::sim_stats() const {
     total.sweep_cell_evals += s.sweep_cell_evals;
   }
   return total;
+}
+
+KernelStats SocTester::kernel_stats() const {
+  KernelStats k;
+  k.sim = soc_.simulation().counters();
+  const auto add = [&k](const netlist::GateSim& g) {
+    k.gate_eval_requests += g.eval_requests();
+    k.gate_sweeps += g.sweeps();
+  };
+  for (const CoreInstance& core : soc_.cores()) {
+    switch (core.kind) {
+      case CoreKind::Scan:
+      case CoreKind::External:
+        add(core.as_scan().gatesim());
+        break;
+      case CoreKind::Bist:
+        add(core.as_bist().gatesim());
+        break;
+      case CoreKind::Memory:
+        break;
+      case CoreKind::Hierarchical:
+        for (const CoreInstance& child : core.hier->children)
+          add(child.as_scan().gatesim());
+        break;
+    }
+  }
+  return k;
 }
 
 void SocTester::reset() { soc_.reset(); }

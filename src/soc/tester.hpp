@@ -147,6 +147,14 @@ struct ExtestResult {
   [[nodiscard]] bool all_pass() const { return failing.empty(); }
 };
 
+/// Behavioural-kernel work of one SoC: the Simulation's clock, settle and
+/// delta-pass counters plus the gate-level work of every core's GateSim.
+struct KernelStats {
+  sim::KernelCounters sim;
+  std::uint64_t gate_eval_requests = 0;  ///< GateSim::eval() calls
+  std::uint64_t gate_sweeps = 0;         ///< levelized sweeps they cost
+};
+
 /// Drives a Soc through complete test programs.
 class SocTester {
  public:
@@ -237,6 +245,9 @@ class SocTester {
   /// Packed-simulation work summed over every golden-model engine this
   /// tester has created (netlist::SimStats semantics).
   [[nodiscard]] netlist::SimStats sim_stats() const;
+
+  /// Behavioural-kernel work of the SoC under test, lifetime totals.
+  [[nodiscard]] KernelStats kernel_stats() const;
 
  private:
   struct Segment {  // one (target, chain) occupancy of a wire

@@ -421,12 +421,24 @@ TEST(FloorTelemetry, StatsSnapshotCountsTheRun) {
   // Simulation happened and the engines reported effort.
   EXPECT_GT(stats.sim_memo_lookups, 0u);
   EXPECT_GT(stats.sim_eval_passes + stats.sim_sweep_cell_evals, 0u);
+  // The behavioural kernel clocked, settled and swept gates; every settle
+  // makes at least one delta pass, and a lazy gate engine sweeps at most
+  // once per evaluation request.
+  EXPECT_GT(stats.kernel_cycles, 0u);
+  EXPECT_GE(stats.kernel_settles, stats.kernel_cycles);
+  EXPECT_GE(stats.kernel_delta_passes, stats.kernel_settles);
+  EXPECT_GT(stats.kernel_gate_sweeps, 0u);
+  EXPECT_LE(stats.kernel_gate_sweeps, stats.kernel_gate_evals);
 
   // The wire format round-trips the headline numbers.
   const std::string json = stats.to_json();
   EXPECT_EQ(json.find('\n'), std::string::npos);
   EXPECT_NE(json.find("\"metrics_enabled\":true"), std::string::npos);
   EXPECT_NE(json.find("\"submitted\":6"), std::string::npos);
+  EXPECT_NE(json.find("\"kernel\":{\"cycles\":" +
+                      std::to_string(stats.kernel_cycles)),
+            std::string::npos);
+  EXPECT_NE(json.find("\"sweeps_per_cycle\":"), std::string::npos);
 }
 
 TEST(FloorTelemetry, StatsSnapshotWithTelemetryOffStaysLive) {

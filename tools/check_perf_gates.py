@@ -75,6 +75,11 @@ def load_values(path):
     return values
 
 
+def fmt(value):
+    """Whole numbers for throughputs and times, three digits for ratios."""
+    return f"{value:.0f}" if abs(value) >= 100 else f"{value:.3g}"
+
+
 def check_floors(values, floors_path, problems):
     spec = json.loads(pathlib.Path(floors_path).read_text())
     for floor in spec["floors"]:
@@ -85,16 +90,16 @@ def check_floors(values, floors_path, problems):
             continue
         if "min" in floor and value < floor["min"]:
             problems.append(
-                f"{floor['name']} {floor['metric']} = {value:.0f} "
-                f"below floor {floor['min']:.0f}")
+                f"{floor['name']} {floor['metric']} = {fmt(value)} "
+                f"below floor {fmt(floor['min'])}")
         elif "max" in floor and value > floor["max"]:
             problems.append(
-                f"{floor['name']} {floor['metric']} = {value:.0f} "
-                f"above ceiling {floor['max']:.0f}")
+                f"{floor['name']} {floor['metric']} = {fmt(value)} "
+                f"above ceiling {fmt(floor['max'])}")
         else:
             bound = floor.get("min", floor.get("max"))
             print(f"floor ok: {floor['name']} {floor['metric']} "
-                  f"= {value:.0f} (bound {bound:.0f})")
+                  f"= {fmt(value)} (bound {fmt(bound)})")
 
 
 def check_event_speedup(values, problems):

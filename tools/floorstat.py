@@ -46,6 +46,7 @@ def print_snapshot(s):
     cache = s.get("cache", {})
     sim = s.get("sim", {})
     sched = s.get("sched", {})
+    kernel = s.get("kernel", {})
     trace = s.get("trace", {})
 
     completed = s.get("completed", 0)
@@ -82,6 +83,13 @@ def print_snapshot(s):
           f" eval_passes={sim.get('eval_passes', 0)}"
           f" cell_evals={sim.get('cell_evals', 0)}"
           f" sweep_cell_evals={sim.get('sweep_cell_evals', 0)}")
+    print(f"  kernel: cycles={kernel.get('cycles', 0)}"
+          f" settles={kernel.get('settles', 0)}"
+          f" delta_passes={kernel.get('delta_passes', 0)}"
+          f" gate_sweeps={kernel.get('gate_sweeps', 0)}"
+          f"/{kernel.get('gate_evals', 0)} evals,"
+          f" {kernel.get('sweeps_per_cycle', 0.0):.2f} sweeps/cycle,"
+          f" {kernel.get('settle_passes_per_cycle', 0.0):.2f} passes/cycle")
     print(f"  sched: nodes={sched.get('nodes_expanded', 0)}"
           f" prunes={sched.get('prunes', 0)}"
           f" improvements={sched.get('improvements', 0)}"
