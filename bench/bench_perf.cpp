@@ -13,6 +13,7 @@
 #include "core/cas_generator.hpp"
 #include "core/config_protocol.hpp"
 #include "core/test_bus.hpp"
+#include "explore/soc_generator.hpp"
 #include "netlist/faultsim.hpp"
 #include "netlist/gatesim.hpp"
 #include "netlist/opt.hpp"
@@ -449,6 +450,24 @@ void BM_Scheduler(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Scheduler);
+
+/// Greedy session scheduling at explorer scale: the 1000-core mixed SoC
+/// (SocGenerator seed 1) on a 32-wire bus. Generation is hoisted out of
+/// the loop, so an iteration is one SessionScheduler build plus greedy().
+/// The counters are greedy's scan-phase effort (sched::ScheduleStats).
+void BM_GreedySchedule(benchmark::State& state) {
+  const explore::GeneratedSoc soc =
+      explore::SocGenerator(1).generate(1000, explore::SocProfile::Mixed);
+  sched::ScheduleStats stats;
+  for (auto _ : state) {
+    sched::SessionScheduler s(soc.cores, 32);
+    benchmark::DoNotOptimize(s.greedy(&stats).total_cycles);
+  }
+  state.counters["probes"] = static_cast<double>(stats.nodes_expanded);
+  state.counters["prunes"] = static_cast<double>(stats.prunes);
+  state.counters["balances"] = static_cast<double>(stats.leaves_priced);
+}
+BENCHMARK(BM_GreedySchedule);
 
 /// Console reporter that additionally forwards every run into the shared
 /// JsonReporter, so bench_perf emits the same BENCH_<name>.json artifact

@@ -456,8 +456,11 @@ BranchBoundResult Search::run() {
   heaps_.assign(shards_, OpenHeap{});
 
   // Incumbent seeding: a bound-greedy completion from the empty prefix
-  // always; the classical heuristics' partitions too when the instance is
-  // small enough that their quadratic session pricing is negligible.
+  // always; the classical heuristics' partitions too on small instances.
+  // The gate no longer guards against quadratic pricing (greedy balances
+  // at most once per probe), but on a 1000-core SoC greedy still costs
+  // 0.04-0.4 s, about what the default-budget search itself takes, and
+  // seeding there would change the incumbent and so every explore result.
   seed(complete_greedily({}, 0));
   dives_ = 1;
   if (scan_.size() <= 24) {

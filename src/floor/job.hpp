@@ -137,10 +137,10 @@ struct JobEngineCounters {
   std::uint64_t sim_eval_passes = 0;    ///< netlist::SimStats::eval_passes
   std::uint64_t sim_cell_evals = 0;     ///< netlist::SimStats::cell_evals
   std::uint64_t sim_sweep_cell_evals = 0;  ///< full-sweep-equivalent work
-  std::uint64_t sched_nodes_expanded = 0;  ///< B&B expansions (0 otherwise)
-  std::uint64_t sched_prunes = 0;          ///< B&B children cut by bound
+  std::uint64_t sched_nodes_expanded = 0;  ///< B&B nodes / greedy probes
+  std::uint64_t sched_prunes = 0;          ///< cut by the lower bound
   std::uint64_t sched_improvements = 0;    ///< B&B incumbent adoptions
-  std::uint64_t sched_leaves_priced = 0;   ///< B&B full partitions priced
+  std::uint64_t sched_leaves_priced = 0;   ///< B&B leaves / probes balanced
   std::uint64_t kernel_cycles = 0;        ///< sim::KernelCounters::cycles
   std::uint64_t kernel_settles = 0;       ///< ... settles
   std::uint64_t kernel_delta_passes = 0;  ///< ... delta_passes

@@ -222,19 +222,9 @@ Balance assign_lpt_grouped_refined(const std::vector<ChainItem>& items,
         // Tentative swap must keep both cores' constraints.
         std::vector<unsigned> trial = b.wire_of_item;
         std::swap(trial[i], trial[j]);
-        // Re-check uniqueness for both moved items.
-        const auto ok = [&](std::size_t k) {
-          for (std::size_t m = 0; m < items.size(); ++m) {
-            if (m == k || items[m].core != items[k].core) continue;
-            std::size_t core_chains = 0;
-            for (const ChainItem& it : items)
-              if (it.core == items[k].core) ++core_chains;
-            if (core_chains > wires) return true;
-            if (trial[m] == trial[k]) return false;
-          }
-          return true;
-        };
-        if (!ok(i) || !ok(j)) continue;
+        if (!wire_free_for(items, trial, wires, i, trial[i]) ||
+            !wire_free_for(items, trial, wires, j, trial[j]))
+          continue;
         b.wire_load[wi] -= delta;
         b.wire_load[wj] += delta;
         b.wire_of_item = std::move(trial);

@@ -45,9 +45,9 @@ std::uint64_t price_scan_partition(
     return g.term[k];
   };
 
-  // Greedy BIST slotting, same policy (and same tie-breaks) as
-  // SessionScheduler::greedy: each engine joins the session whose total
-  // grows least, or gets a dedicated session when that is cheaper.
+  // Greedy BIST slotting — this is SessionScheduler::greedy's BIST phase:
+  // each engine joins the session whose total grows least (first such
+  // session on ties), or gets a dedicated session when that is cheaper.
   std::vector<std::vector<std::size_t>> group_bist(scan_groups.size());
   std::vector<std::size_t> extra;
   for (const std::size_t core : bist_cores) {
@@ -94,10 +94,77 @@ std::uint64_t price_scan_partition(
 }
 
 std::vector<std::vector<std::size_t>> greedy_scan_groups(
-    const SessionScheduler& scheduler) {
+    const SessionScheduler& scheduler, ScheduleStats* stats) {
+  const std::vector<CoreTestSpec>& cores = scheduler.cores();
+  const unsigned width = scheduler.width();
+  const std::uint64_t config = scheduler.reconfig_cost();
+
+  // Cores by pattern count descending, so similar budgets group together.
+  std::vector<std::size_t> order;
+  for (std::size_t i = 0; i < cores.size(); ++i)
+    if (cores[i].is_scan()) order.push_back(i);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return cores[a].patterns > cores[b].patterns;
+                   });
+
+  // A core joins the first group where testing it concurrently is no
+  // dearer than a dedicated session: t_with <= t_without + t_alone, all
+  // scan-only sessions on the full width. t_without is kept per group (it
+  // changes only when a core joins), t_alone is balanced once per core,
+  // and a probe whose balance lower bound exceeds the budget is rejected
+  // unbalanced — exactly, as no placement beats max(longest chain,
+  // ceil(bits / wires)) and scan_cycles is monotone in the load.
+  struct Group {
+    std::vector<ChainItem> items;  ///< in price_session's order
+    GroupBound bound;
+    std::uint64_t cost = 0;
+  };
+  const auto cost_of = [&](const std::vector<ChainItem>& items,
+                           std::size_t patterns) {
+    return scan_cycles(assign_lpt_grouped_refined(items, width).max_load(),
+                       patterns) +
+           config;
+  };
   std::vector<std::vector<std::size_t>> groups;
-  for (const ScheduledSession& s : scheduler.greedy().sessions)
-    if (!s.scan_cores.empty()) groups.push_back(s.scan_cores);
+  std::vector<Group> state;
+  ScheduleStats effort;
+  for (const std::size_t core : order) {
+    Group alone;
+    for (std::size_t ch = 0; ch < cores[core].chains.size(); ++ch)
+      alone.items.push_back(ChainItem{core, ch, cores[core].chains[ch]});
+    alone.bound.add(cores[core]);
+    alone.cost = cost_of(alone.items, cores[core].patterns);
+    std::size_t g = 0;
+    for (; g < groups.size(); ++g) {
+      ++effort.nodes_expanded;
+      Group& group = state[g];
+      GroupBound joint = group.bound;
+      joint.add(cores[core]);
+      const std::uint64_t budget = group.cost + alone.cost;
+      if (joint.scan_lower_bound(width) + config > budget) {
+        ++effort.prunes;
+        continue;
+      }
+      ++effort.leaves_priced;
+      const std::size_t n_items = group.items.size();
+      group.items.insert(group.items.end(), alone.items.begin(),
+                         alone.items.end());
+      const std::uint64_t t_with = cost_of(group.items, joint.max_patterns);
+      if (t_with <= budget) {
+        group.bound = joint;
+        group.cost = t_with;
+        break;
+      }
+      group.items.resize(n_items);
+    }
+    if (g == groups.size()) {
+      groups.emplace_back();
+      state.push_back(std::move(alone));
+    }
+    groups[g].push_back(core);
+  }
+  if (stats != nullptr) *stats = effort;
   return groups;
 }
 

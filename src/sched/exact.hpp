@@ -34,23 +34,25 @@ struct ExactResult {
 
 /// Prices one complete scan partition: each group becomes a session, then
 /// BIST cores are slotted greedily into whichever session's total grows
-/// least (one wire each, overflow gets dedicated sessions) — the same
-/// policy as SessionScheduler::greedy, so searches over scan partitions
-/// stay cost-consistent with the heuristics. This is the shared leaf
-/// evaluator of exact_schedule and explore::BranchBoundScheduler. When
-/// \p out_sessions is non-null it receives the fully priced sessions.
+/// least (one wire each, overflow gets dedicated sessions). This is
+/// SessionScheduler::greedy's BIST phase and the shared leaf evaluator of
+/// exact_schedule and explore::BranchBoundScheduler, so searches over scan
+/// partitions stay cost-consistent with the heuristic by construction.
+/// When \p out_sessions is non-null it receives the fully priced sessions.
 std::uint64_t price_scan_partition(
     const SessionScheduler& scheduler,
     const std::vector<std::vector<std::size_t>>& scan_groups,
     const std::vector<std::size_t>& bist_cores,
     std::vector<ScheduledSession>* out_sessions = nullptr);
 
-/// The scan-core groups of the greedy heuristic's sessions — the shared
-/// incumbent seed of exact_schedule and explore::BranchBoundScheduler
-/// (both re-price it with price_scan_partition so seeds and search leaves
-/// stay exactly comparable).
+/// The scan phase of SessionScheduler::greedy: its scan-core groups, in
+/// session order. Also the shared incumbent seed of exact_schedule and
+/// explore::BranchBoundScheduler (both re-price it with
+/// price_scan_partition, so seeds and search leaves stay exactly
+/// comparable). A non-null \p stats receives the phase's effort counters
+/// (see ScheduleStats).
 std::vector<std::vector<std::size_t>> greedy_scan_groups(
-    const SessionScheduler& scheduler);
+    const SessionScheduler& scheduler, ScheduleStats* stats = nullptr);
 
 /// The provably optimal schedule of a pure-BIST instance: engines sorted
 /// by session length and chunked width at a time, so the i-th session's

@@ -44,7 +44,7 @@ Schedule SessionScheduler::schedule_with(Strategy s, ScheduleStats* stats,
   switch (s) {
     case Strategy::Single: return single_session();
     case Strategy::PerCore: return per_core_sessions();
-    case Strategy::Greedy: return greedy();
+    case Strategy::Greedy: return greedy(stats);
     case Strategy::Phased: return phased();
     case Strategy::Best: return best();
     case Strategy::Exact:
@@ -96,7 +96,7 @@ SessionScheduler::SessionScheduler(std::vector<CoreTestSpec> cores,
   reconfig_cost_ = session_config_cycles(geometries, cores_.size());
 }
 
-ScheduledSession SessionScheduler::make_session(
+ScheduledSession SessionScheduler::price_session(
     const std::vector<std::size_t>& scan,
     const std::vector<std::size_t>& bist) const {
   ScheduledSession s;
@@ -149,14 +149,14 @@ Schedule SessionScheduler::single_session() const {
   }
 
   Schedule sched;
-  sched.sessions.push_back(make_session(scan, first_bist));
+  sched.sessions.push_back(price_session(scan, first_bist));
   sched.total_cycles = sched.sessions[0].total_cycles();
   for (std::size_t i = 0; i < overflow.size(); i += width_) {
     std::vector<std::size_t> chunk(
         overflow.begin() + static_cast<std::ptrdiff_t>(i),
         overflow.begin() + static_cast<std::ptrdiff_t>(
                                std::min(i + width_, overflow.size())));
-    sched.sessions.push_back(make_session({}, chunk));
+    sched.sessions.push_back(price_session({}, chunk));
     sched.total_cycles += sched.sessions.back().total_cycles();
   }
   return sched;
@@ -166,9 +166,9 @@ Schedule SessionScheduler::per_core_sessions() const {
   Schedule sched;
   for (std::size_t i = 0; i < cores_.size(); ++i) {
     if (cores_[i].is_scan())
-      sched.sessions.push_back(make_session({i}, {}));
+      sched.sessions.push_back(price_session({i}, {}));
     else
-      sched.sessions.push_back(make_session({}, {i}));
+      sched.sessions.push_back(price_session({}, {i}));
     sched.total_cycles += sched.sessions.back().total_cycles();
   }
   return sched;
@@ -193,7 +193,7 @@ Schedule SessionScheduler::phased() const {
           bist.begin() + static_cast<std::ptrdiff_t>(i),
           bist.begin() + static_cast<std::ptrdiff_t>(
                              std::min(i + width_, bist.size())));
-      sched.sessions.push_back(make_session({}, chunk));
+      sched.sessions.push_back(price_session({}, chunk));
       sched.total_cycles += sched.sessions.back().total_cycles();
     }
     return sched;
@@ -268,7 +268,7 @@ Schedule SessionScheduler::phased() const {
         bist.begin() + static_cast<std::ptrdiff_t>(i),
         bist.begin() + static_cast<std::ptrdiff_t>(
                            std::min(i + width_, bist.size())));
-    sched.sessions.push_back(make_session({}, chunk));
+    sched.sessions.push_back(price_session({}, chunk));
     total += sched.sessions.back().total_cycles();
   }
   sched.total_cycles = total;
@@ -345,78 +345,15 @@ Schedule SessionScheduler::best() const {
   return result;
 }
 
-Schedule SessionScheduler::greedy() const {
-  // Order scan cores by pattern count descending so cores with similar
-  // pattern budgets group together; BIST cores are slotted into whichever
-  // session has a spare wire.
-  std::vector<std::size_t> scan_order, bist_order;
-  for (std::size_t i = 0; i < cores_.size(); ++i) {
-    if (cores_[i].is_scan())
-      scan_order.push_back(i);
-    else
-      bist_order.push_back(i);
-  }
-  std::stable_sort(scan_order.begin(), scan_order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return cores_[a].patterns > cores_[b].patterns;
-                   });
-
+Schedule SessionScheduler::greedy(ScheduleStats* stats) const {
+  // Scan cores grouped by greedy_scan_groups, then BIST engines slotted
+  // into the session whose total grows least by price_scan_partition.
+  std::vector<std::size_t> bist;
+  for (std::size_t i = 0; i < cores_.size(); ++i)
+    if (!cores_[i].is_scan()) bist.push_back(i);
   Schedule sched;
-  std::vector<std::vector<std::size_t>> groups;  // scan core groups
-  for (const std::size_t core : scan_order) {
-    bool placed = false;
-    for (auto& group : groups) {
-      // Marginal test: joining `group` must beat a dedicated session.
-      std::vector<std::size_t> with = group;
-      with.push_back(core);
-      const std::uint64_t t_with = make_session(with, {}).total_cycles();
-      const std::uint64_t t_without =
-          make_session(group, {}).total_cycles();
-      const std::uint64_t t_alone = make_session({core}, {}).total_cycles();
-      if (t_with <= t_without + t_alone) {
-        group.push_back(core);
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) groups.push_back({core});
-  }
-
-  // Slot BIST cores greedily into the group whose total grows least (they
-  // consume one wire each); overflow gets dedicated sessions.
-  std::vector<std::vector<std::size_t>> group_bist(groups.size());
-  std::vector<std::vector<std::size_t>> extra_bist_sessions;
-  for (const std::size_t core : bist_order) {
-    std::size_t best_group = groups.size();
-    std::uint64_t best_delta = make_session({}, {core}).total_cycles();
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      if (group_bist[g].size() + 1 >= width_) continue;  // keep 1 scan wire
-      std::vector<std::size_t> with = group_bist[g];
-      with.push_back(core);
-      const std::uint64_t t_with =
-          make_session(groups[g], with).total_cycles();
-      const std::uint64_t t_without =
-          make_session(groups[g], group_bist[g]).total_cycles();
-      if (t_with - t_without < best_delta) {
-        best_delta = t_with - t_without;
-        best_group = g;
-      }
-    }
-    if (best_group < groups.size())
-      group_bist[best_group].push_back(core);
-    else
-      extra_bist_sessions.push_back({core});
-  }
-
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    sched.sessions.push_back(make_session(groups[g], group_bist[g]));
-    sched.total_cycles += sched.sessions.back().total_cycles();
-  }
-  for (const auto& bist : extra_bist_sessions) {
-    sched.sessions.push_back(make_session({}, bist));
-    sched.total_cycles += sched.sessions.back().total_cycles();
-  }
-  if (sched.sessions.empty()) sched.total_cycles = 0;
+  sched.total_cycles = price_scan_partition(
+      *this, greedy_scan_groups(*this, stats), bist, &sched.sessions);
   return sched;
 }
 

@@ -20,15 +20,19 @@
 
 namespace casbus::sched {
 
-/// Search-effort counters a strategy can report through schedule_with()'s
-/// optional out-param. Only search-based strategies fill them in
-/// (Strategy::BranchBound today); analytic heuristics leave the zeros.
-/// Pure observability: the counters never influence the schedule.
+/// Effort counters a strategy can report through schedule_with()'s
+/// optional out-param. Strategy::BranchBound fills all four with its
+/// search effort. Strategy::Greedy fills three with its scan-phase effort:
+/// nodes_expanded = (core, group) probes, prunes = probes rejected by the
+/// balance bound without balancing, leaves_priced = probes that ran a full
+/// balance (the one dedicated-session balance per scan core is not
+/// counted). The other heuristics leave the zeros. Pure observability: the
+/// counters never influence the schedule.
 struct ScheduleStats {
-  std::uint64_t nodes_expanded = 0;          ///< B&B nodes popped
-  std::uint64_t prunes = 0;                  ///< children cut by the bound
+  std::uint64_t nodes_expanded = 0;          ///< B&B nodes / greedy probes
+  std::uint64_t prunes = 0;                  ///< cut by the lower bound
   std::uint64_t incumbent_improvements = 0;  ///< times the best improved
-  std::uint64_t leaves_priced = 0;           ///< full partitions priced
+  std::uint64_t leaves_priced = 0;  ///< B&B partitions / probes balanced
 };
 
 /// Named scheduling strategies, so callers that select a strategy at run
@@ -102,8 +106,10 @@ class SessionScheduler {
 
   /// Reconfiguration-aware greedy grouping: cores sorted by pattern count,
   /// each added to the open session only when testing it concurrently is
-  /// cheaper than giving it its own session later.
-  [[nodiscard]] Schedule greedy() const;
+  /// cheaper than giving it its own session later; BIST engines are then
+  /// slotted by price_scan_partition (sched/exact.hpp). A non-null
+  /// \p stats receives the scan phase's effort counters.
+  [[nodiscard]] Schedule greedy(ScheduleStats* stats = nullptr) const;
 
   /// Progressive-retirement schedule: all scan cores start together; every
   /// time the core with the smallest pattern budget finishes, the bus is
@@ -155,9 +161,7 @@ class SessionScheduler {
   /// cost-consistent with the built-in heuristics.
   [[nodiscard]] ScheduledSession price_session(
       const std::vector<std::size_t>& scan_cores,
-      const std::vector<std::size_t>& bist_cores) const {
-    return make_session(scan_cores, bist_cores);
-  }
+      const std::vector<std::size_t>& bist_cores) const;
 
   [[nodiscard]] const std::vector<CoreTestSpec>& cores() const noexcept {
     return cores_;
@@ -165,11 +169,6 @@ class SessionScheduler {
   [[nodiscard]] unsigned width() const noexcept { return width_; }
 
  private:
-  /// Computes balance + times for a candidate session.
-  [[nodiscard]] ScheduledSession make_session(
-      const std::vector<std::size_t>& scan,
-      const std::vector<std::size_t>& bist) const;
-
   std::vector<CoreTestSpec> cores_;
   unsigned width_;
   std::uint64_t reconfig_cost_ = 0;
