@@ -187,8 +187,8 @@ int main() {
   const floor::FloorMetricIds ids =
       floor::register_floor_metrics(floor_registry);
   for (std::size_t i = 0; i < 4096; ++i) {
-    floor_registry.add(ids.jobs_executed);
-    floor_registry.add(ids.cache_lookups);
+    floor_registry.add(ids[floor::FloorCounter::JobsExecuted]);
+    floor_registry.add(ids[floor::FloorCounter::CacheLookups]);
     for (const obs::MetricId stage : ids.stage_us)
       floor_registry.observe(stage, static_cast<double>(i % 2000));
   }

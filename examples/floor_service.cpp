@@ -42,8 +42,6 @@
 ///                           on every critical transition
 ///   --health-json FILE      write the final HealthReport as one-line
 ///                           JSON (tools/floorhealth.py reads it)
-///   --prom FILE             write the final metrics snapshot in
-///                           Prometheus text exposition format
 /// --watchdog-ms / --incident-dir / --health-json imply --health; any
 /// telemetry or health flag implies the live-session path (as if
 /// --stream). Telemetry and health observe only: the deterministic
@@ -63,7 +61,6 @@
 #include "floor/job_factory.hpp"
 #include "floor/session.hpp"
 #include "floor/test_floor.hpp"
-#include "obs/prometheus.hpp"
 #include "util/cli.hpp"
 
 namespace {
@@ -77,7 +74,7 @@ constexpr const char* kOptionsHelp =
     " [--summary]"
     " [--stats-json FILE] [--trace FILE] [--stats-interval-ms N]"
     " [--health] [--health-interval-ms N] [--watchdog-ms N]"
-    " [--incident-dir DIR] [--health-json FILE] [--prom FILE]";
+    " [--incident-dir DIR] [--health-json FILE]";
 
 /// Periodic stats tail: a helper thread that prints
 /// session.stats_snapshot().to_json() to stderr every interval until
@@ -127,11 +124,10 @@ struct TelemetryOptions {
   std::size_t interval_ms = 0;  ///< live stderr tail period; 0 = off
   bool health = false;          ///< run + print the health engine
   std::string health_json;      ///< final HealthReport file; empty = off
-  std::string prom_file;        ///< Prometheus exposition file; empty = off
 
   [[nodiscard]] bool any() const {
     return !stats_json.empty() || !trace_file.empty() || interval_ms > 0 ||
-           health || !prom_file.empty();
+           health;
   }
 };
 
@@ -219,17 +215,6 @@ casbus::floor::FloorReport run_streaming(
       }
     }
   }
-  if (!telemetry.prom_file.empty()) {
-    std::ofstream out(telemetry.prom_file);
-    if (out && session.registry() != nullptr) {
-      out << casbus::obs::to_prometheus(session.registry()->snapshot());
-      std::cout << "prometheus exposition written to "
-                << telemetry.prom_file << "\n";
-    } else {
-      std::cerr << "cannot write prometheus exposition to "
-                << telemetry.prom_file << "\n";
-    }
-  }
   return report;
 }
 
@@ -283,7 +268,6 @@ int main(int argc, char** argv) {
       else if (cli.is("--incident-dir"))
         config.health.incident_dir = cli.value();
       else if (cli.is("--health-json")) telemetry.health_json = cli.value();
-      else if (cli.is("--prom")) telemetry.prom_file = cli.value();
       else cli.fail();
     }
   } catch (const std::exception& e) {
@@ -300,9 +284,8 @@ int main(int argc, char** argv) {
     // The stats/trace surfaces live on FloorSession, so telemetry runs
     // the live-session path even without --stream (job-by-job printing
     // stays opt-in via --stream).
-    config.metrics = !telemetry.stats_json.empty() ||
-                     telemetry.interval_ms > 0 ||
-                     !telemetry.prom_file.empty();
+    config.metrics =
+        !telemetry.stats_json.empty() || telemetry.interval_ms > 0;
     config.health.enabled = telemetry.health;
     if (!telemetry.trace_file.empty()) {
       // One job-level span plus at most one span per pipeline stage per

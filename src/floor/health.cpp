@@ -298,8 +298,8 @@ HealthReport HealthMonitor::evaluate(const FloorStats& stats,
   p.completed = stats.completed;
   p.errored = stats.errored;
   p.bp_engages = stats.queue.backpressure_engages;
-  p.cache_lookups = stats.cache_lookups;
-  p.cache_hits = stats.cache_program_hits + stats.cache_verdict_hits;
+  p.cache_lookups = stats.counter(FloorCounter::CacheLookups);
+  p.cache_hits = stats.cache_hits();
   p.trace_dropped = stats.trace_dropped;
   history_.push_back(p);
   const std::size_t keep = std::max<std::size_t>(2, config_.rate_window);

@@ -466,25 +466,12 @@ void emit_job_telemetry(const JobTelemetry& obs, const JobResult& result,
   if (obs.registry != nullptr && obs.ids != nullptr) {
     obs::Registry& reg = *obs.registry;
     const FloorMetricIds& ids = *obs.ids;
-    reg.add(ids.jobs_executed);
-    if (!result.error.empty()) reg.add(ids.jobs_errored);
-    const JobEngineCounters& e = result.engine;
-    reg.add(ids.sim_memo_lookups, e.sim_memo_lookups);
-    reg.add(ids.sim_memo_hits, e.sim_memo_hits);
-    reg.add(ids.sim_precompute_us,
-            static_cast<std::uint64_t>(e.precompute_seconds * 1e6));
-    reg.add(ids.sim_eval_passes, e.sim_eval_passes);
-    reg.add(ids.sim_cell_evals, e.sim_cell_evals);
-    reg.add(ids.sim_sweep_cell_evals, e.sim_sweep_cell_evals);
-    reg.add(ids.sched_nodes, e.sched_nodes_expanded);
-    reg.add(ids.sched_prunes, e.sched_prunes);
-    reg.add(ids.sched_improvements, e.sched_improvements);
-    reg.add(ids.sched_leaves, e.sched_leaves_priced);
-    reg.add(ids.kernel_cycles, e.kernel_cycles);
-    reg.add(ids.kernel_settles, e.kernel_settles);
-    reg.add(ids.kernel_delta_passes, e.kernel_delta_passes);
-    reg.add(ids.kernel_gate_evals, e.kernel_gate_evals);
-    reg.add(ids.kernel_gate_sweeps, e.kernel_gate_sweeps);
+    reg.add(ids[FloorCounter::JobsExecuted]);
+    if (!result.error.empty()) reg.add(ids[FloorCounter::JobsErrored]);
+    for (const FloorCounterDef& row : kFloorCounters) {
+      if (row.engine.present())
+        reg.add(ids[row.id], row.engine.read(result.engine));
+    }
   }
   if (obs.trace != nullptr) {
     obs::TraceSpan span;

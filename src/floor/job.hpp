@@ -117,14 +117,6 @@ enum class CacheTier : std::uint8_t {
 /// report breakdowns, trace args, and metric names.
 [[nodiscard]] const char* cache_tier_name(CacheTier tier) noexcept;
 
-/// \p n / \p cycles, or 0 when no cycle ran — the kernel's per-cycle
-/// work ratios.
-[[nodiscard]] inline double per_cycle(std::uint64_t n,
-                                      std::uint64_t cycles) noexcept {
-  return cycles == 0 ? 0.0
-                     : static_cast<double>(n) / static_cast<double>(cycles);
-}
-
 /// Work counters harvested from the engines a job ran — scheduler search
 /// effort, golden-model memoisation, packed-simulation evaluation. All
 /// observability payload: they never feed back into any computation, are
@@ -146,15 +138,6 @@ struct JobEngineCounters {
   std::uint64_t kernel_delta_passes = 0;  ///< ... delta_passes
   std::uint64_t kernel_gate_evals = 0;    ///< GateSim::eval() requests
   std::uint64_t kernel_gate_sweeps = 0;   ///< GateSim levelized sweeps
-
-  /// Gate sweeps per simulated clock cycle.
-  [[nodiscard]] double sweeps_per_cycle() const noexcept {
-    return per_cycle(kernel_gate_sweeps, kernel_cycles);
-  }
-  /// Settle delta passes per simulated clock cycle.
-  [[nodiscard]] double settle_passes_per_cycle() const noexcept {
-    return per_cycle(kernel_delta_passes, kernel_cycles);
-  }
 };
 
 /// Outcome of one job. Every field except wall_seconds, stage_seconds,

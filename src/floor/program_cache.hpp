@@ -47,23 +47,11 @@
 #include <unordered_map>
 #include <utility>
 
+#include "floor/telemetry.hpp"
 #include "obs/metrics.hpp"
 #include "soc/schedule_runner.hpp"
 
 namespace casbus::floor {
-
-/// Registry binding for one worker's cache: when `registry` is non-null,
-/// every tier event is mirrored into these counters (the add() lands on
-/// the owning worker's shard, so the hot path stays contention-free).
-/// The plain accessors below (lookups()/hits()/...) work either way.
-struct CacheTelemetry {
-  obs::Registry* registry = nullptr;
-  obs::MetricId lookups{};
-  obs::MetricId program_hits{};
-  obs::MetricId verdict_hits{};
-  obs::MetricId insertions{};
-  obs::MetricId evictions{};
-};
 
 class ProgramCache {
  public:
@@ -74,11 +62,13 @@ class ProgramCache {
   explicit ProgramCache(std::size_t capacity, bool reuse_verdicts = true)
       : capacity_(capacity), reuse_verdicts_(reuse_verdicts) {}
 
-  /// Binds the worker's metric registry (see CacheTelemetry). Call before
-  /// the first lookup; events before binding only reach the plain
-  /// counters.
-  void set_telemetry(const CacheTelemetry& telemetry) {
-    telemetry_ = telemetry;
+  /// Binds the worker's metric registry: every tier event is then added
+  /// to its floor.cache.* counter (on the owning worker's shard, so the
+  /// hot path stays contention-free). Call before the first lookup;
+  /// \p ids must outlive the cache.
+  void set_telemetry(obs::Registry* registry, const FloorMetricIds& ids) {
+    registry_ = registry;
+    ids_ = &ids;
   }
 
   /// Verdict tier: the qualified result of a recipe that already ran
@@ -87,14 +77,11 @@ class ProgramCache {
   /// zeros are the explicit record of that, paired with the tier tag) —
   /// or nullopt. Counts one lookup (and, when served, one verdict hit).
   [[nodiscard]] std::optional<JobResult> reuse(const JobSpec& spec) {
-    ++lookups_;
-    count(telemetry_.lookups);
+    count(FloorCounter::CacheLookups);
     if (!reuse_verdicts_) return std::nullopt;
     Entry* entry = touch(spec);
     if (entry == nullptr || !entry->verdict.has_value()) return std::nullopt;
-    ++hits_;
-    ++verdict_hits_;
-    count(telemetry_.verdict_hits);
+    count(FloorCounter::CacheVerdictHits);
     JobResult result = *entry->verdict;
     result.cache_tier = CacheTier::Verdict;
     result.stage_seconds.fill(0.0);
@@ -117,9 +104,7 @@ class ProgramCache {
       const JobSpec& spec) {
     Entry* entry = touch(spec);
     if (entry == nullptr || entry->program == nullptr) return nullptr;
-    ++hits_;
-    ++program_hits_;
-    count(telemetry_.program_hits);
+    count(FloorCounter::CacheProgramHits);
     return entry->program;
   }
 
@@ -134,21 +119,6 @@ class ProgramCache {
   [[nodiscard]] bool reuse_verdicts() const noexcept {
     return reuse_verdicts_;
   }
-  /// run_job consultations / consultations served (at either tier).
-  [[nodiscard]] std::size_t lookups() const noexcept { return lookups_; }
-  [[nodiscard]] std::size_t hits() const noexcept { return hits_; }
-  /// Per-tier serve counts (hits() == program_hits() + verdict_hits()).
-  [[nodiscard]] std::size_t program_hits() const noexcept {
-    return program_hits_;
-  }
-  [[nodiscard]] std::size_t verdict_hits() const noexcept {
-    return verdict_hits_;
-  }
-  /// Recipe entries created / entries displaced (LRU or key collision).
-  [[nodiscard]] std::size_t insertions() const noexcept {
-    return insertions_;
-  }
-  [[nodiscard]] std::size_t evictions() const noexcept { return evictions_; }
 
  private:
   struct Entry {
@@ -179,43 +149,34 @@ class ProgramCache {
         it->second->recipe = spec;
         it->second->program = nullptr;
         it->second->verdict.reset();
-        ++evictions_;
-        count(telemetry_.evictions);
-        ++insertions_;
-        count(telemetry_.insertions);
+        count(FloorCounter::CacheEvictions);
+        count(FloorCounter::CacheInsertions);
       }
       lru_.splice(lru_.begin(), lru_, it->second);
       return *it->second;
     }
     lru_.push_front(Entry{spec, nullptr, std::nullopt});
     index_[key] = lru_.begin();
-    ++insertions_;
-    count(telemetry_.insertions);
+    count(FloorCounter::CacheInsertions);
     if (lru_.size() > capacity_) {
       index_.erase(lru_.back().recipe.cache_key());
       lru_.pop_back();
-      ++evictions_;
-      count(telemetry_.evictions);
+      count(FloorCounter::CacheEvictions);
     }
     return lru_.front();
   }
 
-  /// Mirrors one event into the bound registry, if any.
-  void count(obs::MetricId id) {
-    if (telemetry_.registry != nullptr) telemetry_.registry->add(id);
+  /// Counts one event in the bound registry, if any.
+  void count(FloorCounter c) {
+    if (registry_ != nullptr) registry_->add((*ids_)[c]);
   }
 
   std::size_t capacity_;
   bool reuse_verdicts_;
-  CacheTelemetry telemetry_;
+  obs::Registry* registry_ = nullptr;
+  const FloorMetricIds* ids_ = nullptr;
   std::list<Entry> lru_;  ///< front = most recently used
   std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
-  std::size_t lookups_ = 0;
-  std::size_t hits_ = 0;
-  std::size_t program_hits_ = 0;
-  std::size_t verdict_hits_ = 0;
-  std::size_t insertions_ = 0;
-  std::size_t evictions_ = 0;
 };
 
 }  // namespace casbus::floor

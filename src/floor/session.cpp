@@ -152,27 +152,8 @@ FloorStats FloorSession::stats_snapshot() const {
   if (registry_ == nullptr) return stats;
 
   const obs::Snapshot snap = registry_->snapshot();
-  stats.cache_lookups = snap.counter("floor.cache.lookups");
-  stats.cache_program_hits = snap.counter("floor.cache.hits.program");
-  stats.cache_verdict_hits = snap.counter("floor.cache.hits.verdict");
-  stats.cache_insertions = snap.counter("floor.cache.insertions");
-  stats.cache_evictions = snap.counter("floor.cache.evictions");
-  stats.sim_memo_lookups = snap.counter("floor.sim.memo.lookups");
-  stats.sim_memo_hits = snap.counter("floor.sim.memo.hits");
-  stats.sim_precompute_seconds =
-      static_cast<double>(snap.counter("floor.sim.precompute.us")) * 1e-6;
-  stats.sim_eval_passes = snap.counter("floor.sim.eval_passes");
-  stats.sim_cell_evals = snap.counter("floor.sim.cell_evals");
-  stats.sim_sweep_cell_evals = snap.counter("floor.sim.sweep_cell_evals");
-  stats.sched_nodes_expanded = snap.counter("floor.sched.nodes_expanded");
-  stats.sched_prunes = snap.counter("floor.sched.prunes");
-  stats.sched_improvements = snap.counter("floor.sched.improvements");
-  stats.sched_leaves_priced = snap.counter("floor.sched.leaves_priced");
-  stats.kernel_cycles = snap.counter("floor.kernel.cycles");
-  stats.kernel_settles = snap.counter("floor.kernel.settles");
-  stats.kernel_delta_passes = snap.counter("floor.kernel.delta_passes");
-  stats.kernel_gate_evals = snap.counter("floor.kernel.gate_evals");
-  stats.kernel_gate_sweeps = snap.counter("floor.kernel.gate_sweeps");
+  for (const FloorCounterDef& row : kFloorCounters)
+    stats.counter(row.id) = snap.counter(row.name);
   for (std::size_t s = 0; s < kStageCount; ++s) {
     const obs::HistogramSnapshot* h = snap.histogram(
         std::string("floor.stage.") + stage_name(static_cast<Stage>(s)) +
@@ -194,12 +175,7 @@ void FloorSession::worker_main(std::size_t worker) {
   // Schedule+Compile stages without any cross-thread sharing.
   ProgramCache cache(config_.cache_capacity, config_.reuse_verdicts);
   ProgramCache* cache_ptr = config_.cache_capacity ? &cache : nullptr;
-  if (registry_ != nullptr) {
-    cache.set_telemetry(CacheTelemetry{
-        registry_.get(), ids_.cache_lookups, ids_.cache_program_hits,
-        ids_.cache_verdict_hits, ids_.cache_insertions,
-        ids_.cache_evictions});
-  }
+  if (registry_ != nullptr) cache.set_telemetry(registry_.get(), ids_);
 
   JobTelemetry obs;
   obs.registry = registry_.get();

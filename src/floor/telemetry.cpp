@@ -8,28 +8,9 @@ namespace casbus::floor {
 
 FloorMetricIds register_floor_metrics(obs::Registry& registry) {
   FloorMetricIds ids;
-  ids.jobs_executed = registry.counter("floor.jobs.executed");
-  ids.jobs_errored = registry.counter("floor.jobs.errored");
-  ids.cache_lookups = registry.counter("floor.cache.lookups");
-  ids.cache_program_hits = registry.counter("floor.cache.hits.program");
-  ids.cache_verdict_hits = registry.counter("floor.cache.hits.verdict");
-  ids.cache_insertions = registry.counter("floor.cache.insertions");
-  ids.cache_evictions = registry.counter("floor.cache.evictions");
-  ids.sim_memo_lookups = registry.counter("floor.sim.memo.lookups");
-  ids.sim_memo_hits = registry.counter("floor.sim.memo.hits");
-  ids.sim_precompute_us = registry.counter("floor.sim.precompute.us");
-  ids.sim_eval_passes = registry.counter("floor.sim.eval_passes");
-  ids.sim_cell_evals = registry.counter("floor.sim.cell_evals");
-  ids.sim_sweep_cell_evals = registry.counter("floor.sim.sweep_cell_evals");
-  ids.sched_nodes = registry.counter("floor.sched.nodes_expanded");
-  ids.sched_prunes = registry.counter("floor.sched.prunes");
-  ids.sched_improvements = registry.counter("floor.sched.improvements");
-  ids.sched_leaves = registry.counter("floor.sched.leaves_priced");
-  ids.kernel_cycles = registry.counter("floor.kernel.cycles");
-  ids.kernel_settles = registry.counter("floor.kernel.settles");
-  ids.kernel_delta_passes = registry.counter("floor.kernel.delta_passes");
-  ids.kernel_gate_evals = registry.counter("floor.kernel.gate_evals");
-  ids.kernel_gate_sweeps = registry.counter("floor.kernel.gate_sweeps");
+  for (const FloorCounterDef& row : kFloorCounters)
+    ids.counters[static_cast<std::size_t>(row.id)] =
+        registry.counter(std::string(row.name));
   const std::vector<double> buckets = obs::Registry::latency_buckets_us();
   for (std::size_t s = 0; s < kStageCount; ++s) {
     ids.stage_us[s] = registry.histogram(
@@ -59,6 +40,32 @@ std::string num(double v) {
   return os.str();
 }
 
+/// \p n / \p cycles, or 0 when no cycle ran — the kernel's per-cycle
+/// work ratios.
+double per_cycle(std::uint64_t n, std::uint64_t cycles) {
+  return cycles == 0 ? 0.0
+                     : static_cast<double>(n) / static_cast<double>(cycles);
+}
+
+/// Opens `,"<section>":{` and writes the section's catalogue counters;
+/// the caller appends any derived keys and closes the brace.
+void write_section(std::ostringstream& os, const FloorStats& stats,
+                   std::string_view section) {
+  os << ",\"" << section << "\":{";
+  const char* sep = "";
+  for (const FloorCounterDef& row : kFloorCounters) {
+    if (row.section != section) continue;
+    os << sep << '"' << row.key << "\":";
+    const std::uint64_t value = stats.counter(row.id);
+    if (row.engine.seconds != nullptr) {
+      os << num(static_cast<double>(value) * 1e-6);  // registry holds µs
+    } else {
+      os << value;
+    }
+    sep = ",";
+  }
+}
+
 }  // namespace
 
 std::string FloorStats::to_json() const {
@@ -79,31 +86,19 @@ std::string FloorStats::to_json() const {
      << ",\"steals\":" << queue.steals
      << ",\"backpressure_engages\":" << queue.backpressure_engages
      << ",\"backpressure_releases\":" << queue.backpressure_releases
-     << "},\"cache\":{\"lookups\":" << cache_lookups
-     << ",\"program_hits\":" << cache_program_hits
-     << ",\"verdict_hits\":" << cache_verdict_hits
-     << ",\"insertions\":" << cache_insertions
-     << ",\"evictions\":" << cache_evictions
-     << ",\"hit_rate\":" << num(cache_hit_rate())
-     << "},\"sim\":{\"memo_lookups\":" << sim_memo_lookups
-     << ",\"memo_hits\":" << sim_memo_hits
-     << ",\"precompute_seconds\":" << num(sim_precompute_seconds)
-     << ",\"eval_passes\":" << sim_eval_passes
-     << ",\"cell_evals\":" << sim_cell_evals
-     << ",\"sweep_cell_evals\":" << sim_sweep_cell_evals
-     << "},\"sched\":{\"nodes_expanded\":" << sched_nodes_expanded
-     << ",\"prunes\":" << sched_prunes
-     << ",\"improvements\":" << sched_improvements
-     << ",\"leaves_priced\":" << sched_leaves_priced
-     << "},\"kernel\":{\"cycles\":" << kernel_cycles
-     << ",\"settles\":" << kernel_settles
-     << ",\"delta_passes\":" << kernel_delta_passes
-     << ",\"gate_evals\":" << kernel_gate_evals
-     << ",\"gate_sweeps\":" << kernel_gate_sweeps
-     << ",\"sweeps_per_cycle\":"
-     << num(per_cycle(kernel_gate_sweeps, kernel_cycles))
+     << '}';
+  write_section(os, *this, "cache");
+  os << ",\"hit_rate\":" << num(cache_hit_rate()) << '}';
+  write_section(os, *this, "sim");
+  os << '}';
+  write_section(os, *this, "sched");
+  os << '}';
+  write_section(os, *this, "kernel");
+  const std::uint64_t cycles = counter(FloorCounter::KernelCycles);
+  os << ",\"sweeps_per_cycle\":"
+     << num(per_cycle(counter(FloorCounter::KernelGateSweeps), cycles))
      << ",\"settle_passes_per_cycle\":"
-     << num(per_cycle(kernel_delta_passes, kernel_cycles))
+     << num(per_cycle(counter(FloorCounter::KernelDeltaPasses), cycles))
      << "},\"stages\":{";
   for (std::size_t s = 0; s < kStageCount; ++s) {
     if (s != 0) os << ',';

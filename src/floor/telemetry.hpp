@@ -2,9 +2,9 @@
 /// The floor's metric catalogue and its live stats surface.
 ///
 /// This is the binding layer between the generic obs subsystem and the
-/// floor: register_floor_metrics() claims every floor metric under its
-/// stable name (the catalogue below — docs/OBSERVABILITY.md documents
-/// each), FloorMetricIds carries the resulting handles to the instrument
+/// floor: kFloorCounters is the one table of floor counters,
+/// register_floor_metrics() claims each under its stable name
+/// (docs/OBSERVABILITY.md documents each), FloorMetricIds carries the resulting handles to the instrument
 /// sites, and FloorStats is the structured snapshot FloorSession hands
 /// out while running (stats_snapshot()) — the thing `floor_service
 /// --stats-json` serializes and `tools/floorstat.py` pretty-prints.
@@ -19,6 +19,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "floor/job.hpp"
@@ -27,40 +28,136 @@
 
 namespace casbus::floor {
 
-/// Handles of every registered floor metric, in catalogue order. One
-/// instance per FloorSession, shared read-only by its workers.
+/// Every floor counter. The value is the counter's row in kFloorCounters
+/// and its index into FloorMetricIds and FloorStats::counters.
+enum class FloorCounter : std::uint8_t {
+  JobsExecuted,
+  JobsErrored,
+  CacheLookups,
+  CacheProgramHits,
+  CacheVerdictHits,
+  CacheInsertions,
+  CacheEvictions,
+  SimMemoLookups,
+  SimMemoHits,
+  SimPrecomputeUs,
+  SimEvalPasses,
+  SimCellEvals,
+  SimSweepCellEvals,
+  SchedNodesExpanded,
+  SchedPrunes,
+  SchedImprovements,
+  SchedLeavesPriced,
+  KernelCycles,
+  KernelSettles,
+  KernelDeltaPasses,
+  KernelGateEvals,
+  KernelGateSweeps,
+};
+inline constexpr std::size_t kFloorCounterCount = 22;
+
+/// The JobEngineCounters field a counter is credited from after every
+/// job (emit_job_telemetry). A seconds field is credited in whole µs and
+/// reported back in seconds by FloorStats::to_json().
+struct EngineField {
+  std::uint64_t JobEngineCounters::*count = nullptr;
+  double JobEngineCounters::*seconds = nullptr;
+
+  constexpr EngineField() = default;
+  constexpr EngineField(std::uint64_t JobEngineCounters::*field)
+      : count(field) {}
+  constexpr EngineField(double JobEngineCounters::*field)
+      : seconds(field) {}
+
+  [[nodiscard]] constexpr bool present() const {
+    return count != nullptr || seconds != nullptr;
+  }
+  /// This job's registry delta.
+  [[nodiscard]] std::uint64_t read(const JobEngineCounters& e) const {
+    return count != nullptr
+               ? e.*count
+               : static_cast<std::uint64_t>(e.*seconds * 1e6);
+  }
+};
+
+/// One catalogue row: the stable registry name (docs/OBSERVABILITY.md
+/// documents each), where FloorStats::to_json() puts the value (no
+/// section: registry only), and the engine field it is credited from
+/// (none: an instrument site adds it directly).
+struct FloorCounterDef {
+  FloorCounter id;
+  std::string_view name;
+  std::string_view section;
+  std::string_view key;
+  EngineField engine;
+};
+
+/// The floor's counter catalogue. Within a section, rows appear in
+/// to_json() key order.
+inline constexpr std::array<FloorCounterDef, kFloorCounterCount>
+    kFloorCounters{{
+        {FloorCounter::JobsExecuted, "floor.jobs.executed", "", "", {}},
+        {FloorCounter::JobsErrored, "floor.jobs.errored", "", "", {}},
+        {FloorCounter::CacheLookups, "floor.cache.lookups", "cache",
+         "lookups", {}},
+        {FloorCounter::CacheProgramHits, "floor.cache.hits.program",
+         "cache", "program_hits", {}},
+        {FloorCounter::CacheVerdictHits, "floor.cache.hits.verdict",
+         "cache", "verdict_hits", {}},
+        {FloorCounter::CacheInsertions, "floor.cache.insertions", "cache",
+         "insertions", {}},
+        {FloorCounter::CacheEvictions, "floor.cache.evictions", "cache",
+         "evictions", {}},
+        {FloorCounter::SimMemoLookups, "floor.sim.memo.lookups", "sim",
+         "memo_lookups", &JobEngineCounters::sim_memo_lookups},
+        {FloorCounter::SimMemoHits, "floor.sim.memo.hits", "sim",
+         "memo_hits", &JobEngineCounters::sim_memo_hits},
+        {FloorCounter::SimPrecomputeUs, "floor.sim.precompute.us", "sim",
+         "precompute_seconds", &JobEngineCounters::precompute_seconds},
+        {FloorCounter::SimEvalPasses, "floor.sim.eval_passes", "sim",
+         "eval_passes", &JobEngineCounters::sim_eval_passes},
+        {FloorCounter::SimCellEvals, "floor.sim.cell_evals", "sim",
+         "cell_evals", &JobEngineCounters::sim_cell_evals},
+        {FloorCounter::SimSweepCellEvals, "floor.sim.sweep_cell_evals",
+         "sim", "sweep_cell_evals", &JobEngineCounters::sim_sweep_cell_evals},
+        {FloorCounter::SchedNodesExpanded, "floor.sched.nodes_expanded",
+         "sched", "nodes_expanded", &JobEngineCounters::sched_nodes_expanded},
+        {FloorCounter::SchedPrunes, "floor.sched.prunes", "sched", "prunes",
+         &JobEngineCounters::sched_prunes},
+        {FloorCounter::SchedImprovements, "floor.sched.improvements",
+         "sched", "improvements", &JobEngineCounters::sched_improvements},
+        {FloorCounter::SchedLeavesPriced, "floor.sched.leaves_priced",
+         "sched", "leaves_priced", &JobEngineCounters::sched_leaves_priced},
+        {FloorCounter::KernelCycles, "floor.kernel.cycles", "kernel",
+         "cycles", &JobEngineCounters::kernel_cycles},
+        {FloorCounter::KernelSettles, "floor.kernel.settles", "kernel",
+         "settles", &JobEngineCounters::kernel_settles},
+        {FloorCounter::KernelDeltaPasses, "floor.kernel.delta_passes",
+         "kernel", "delta_passes", &JobEngineCounters::kernel_delta_passes},
+        {FloorCounter::KernelGateEvals, "floor.kernel.gate_evals", "kernel",
+         "gate_evals", &JobEngineCounters::kernel_gate_evals},
+        {FloorCounter::KernelGateSweeps, "floor.kernel.gate_sweeps",
+         "kernel", "gate_sweeps", &JobEngineCounters::kernel_gate_sweeps},
+    }};
+
+static_assert(
+    [] {
+      for (std::size_t i = 0; i < kFloorCounters.size(); ++i)
+        if (static_cast<std::size_t>(kFloorCounters[i].id) != i) return false;
+      return true;
+    }(),
+    "kFloorCounters rows must follow FloorCounter order");
+
+/// Handles of every registered floor metric. One instance per
+/// FloorSession, shared read-only by its workers.
 struct FloorMetricIds {
-  // Job outcomes.
-  obs::MetricId jobs_executed{};   ///< floor.jobs.executed
-  obs::MetricId jobs_errored{};    ///< floor.jobs.errored
-  // Program-cache tiers (per run_job consultation; see program_cache.hpp).
-  obs::MetricId cache_lookups{};        ///< floor.cache.lookups
-  obs::MetricId cache_program_hits{};   ///< floor.cache.hits.program
-  obs::MetricId cache_verdict_hits{};   ///< floor.cache.hits.verdict
-  obs::MetricId cache_insertions{};     ///< floor.cache.insertions
-  obs::MetricId cache_evictions{};      ///< floor.cache.evictions
-  // Simulation engines (SocTester memo + packed-sim work).
-  obs::MetricId sim_memo_lookups{};     ///< floor.sim.memo.lookups
-  obs::MetricId sim_memo_hits{};        ///< floor.sim.memo.hits
-  obs::MetricId sim_precompute_us{};    ///< floor.sim.precompute.us
-  obs::MetricId sim_eval_passes{};      ///< floor.sim.eval_passes
-  obs::MetricId sim_cell_evals{};       ///< floor.sim.cell_evals
-  obs::MetricId sim_sweep_cell_evals{}; ///< floor.sim.sweep_cell_evals
-  // Branch-and-bound scheduling effort. Per-thread-sharded like every
-  // registry counter: B&B worker threads aggregate into the same stable
-  // names regardless of JobSimOptions::sched_threads.
-  obs::MetricId sched_nodes{};          ///< floor.sched.nodes_expanded
-  obs::MetricId sched_prunes{};         ///< floor.sched.prunes
-  obs::MetricId sched_improvements{};   ///< floor.sched.improvements
-  obs::MetricId sched_leaves{};         ///< floor.sched.leaves_priced
-  // Behavioural kernel work (soc::SocTester::kernel_stats()).
-  obs::MetricId kernel_cycles{};        ///< floor.kernel.cycles
-  obs::MetricId kernel_settles{};       ///< floor.kernel.settles
-  obs::MetricId kernel_delta_passes{};  ///< floor.kernel.delta_passes
-  obs::MetricId kernel_gate_evals{};    ///< floor.kernel.gate_evals
-  obs::MetricId kernel_gate_sweeps{};   ///< floor.kernel.gate_sweeps
-  // Per-stage latency histograms (µs), indexed by Stage.
+  std::array<obs::MetricId, kFloorCounterCount> counters{};
+  /// Per-stage latency histograms (µs), indexed by Stage.
   std::array<obs::MetricId, kStageCount> stage_us{};  ///< floor.stage.*.us
+
+  [[nodiscard]] obs::MetricId operator[](FloorCounter c) const {
+    return counters[static_cast<std::size_t>(c)];
+  }
 };
 
 /// Registers the whole floor catalogue in \p registry (idempotent — the
@@ -94,33 +191,9 @@ struct FloorStats {
   // Queue (always live — tracked by the queue itself, not the registry).
   QueueStats queue;
 
-  // Program-cache tiers, summed over every worker's private cache.
-  std::uint64_t cache_lookups = 0;
-  std::uint64_t cache_program_hits = 0;
-  std::uint64_t cache_verdict_hits = 0;
-  std::uint64_t cache_insertions = 0;
-  std::uint64_t cache_evictions = 0;
-
-  // Simulation engines.
-  std::uint64_t sim_memo_lookups = 0;
-  std::uint64_t sim_memo_hits = 0;
-  double sim_precompute_seconds = 0.0;
-  std::uint64_t sim_eval_passes = 0;
-  std::uint64_t sim_cell_evals = 0;
-  std::uint64_t sim_sweep_cell_evals = 0;
-
-  // Scheduling search effort.
-  std::uint64_t sched_nodes_expanded = 0;
-  std::uint64_t sched_prunes = 0;
-  std::uint64_t sched_improvements = 0;
-  std::uint64_t sched_leaves_priced = 0;
-
-  // Behavioural kernel work.
-  std::uint64_t kernel_cycles = 0;
-  std::uint64_t kernel_settles = 0;
-  std::uint64_t kernel_delta_passes = 0;
-  std::uint64_t kernel_gate_evals = 0;
-  std::uint64_t kernel_gate_sweeps = 0;
+  // Registry counters, indexed by FloorCounter (see counter()). The
+  // floor.sim.precompute.us entry holds µs.
+  std::array<std::uint64_t, kFloorCounterCount> counters{};
 
   // Per-stage latency digests, indexed by Stage.
   std::array<StageDigest, kStageCount> stages{};
@@ -139,13 +212,25 @@ struct FloorStats {
   std::uint64_t trace_recorded = 0;
   std::uint64_t trace_dropped = 0;
 
+  [[nodiscard]] std::uint64_t& counter(FloorCounter c) {
+    return counters[static_cast<std::size_t>(c)];
+  }
+  [[nodiscard]] std::uint64_t counter(FloorCounter c) const {
+    return counters[static_cast<std::size_t>(c)];
+  }
+
+  /// Jobs served from either cache tier.
+  [[nodiscard]] std::uint64_t cache_hits() const {
+    return counter(FloorCounter::CacheProgramHits) +
+           counter(FloorCounter::CacheVerdictHits);
+  }
+
   /// Jobs served from any cache tier / cache lookups (0 when no lookups).
   [[nodiscard]] double cache_hit_rate() const {
-    return cache_lookups == 0
-               ? 0.0
-               : static_cast<double>(cache_program_hits +
-                                     cache_verdict_hits) /
-                     static_cast<double>(cache_lookups);
+    const std::uint64_t lookups = counter(FloorCounter::CacheLookups);
+    return lookups == 0 ? 0.0
+                        : static_cast<double>(cache_hits()) /
+                              static_cast<double>(lookups);
   }
 
   /// Mean worker utilization over the session's uptime, in [0, 1].

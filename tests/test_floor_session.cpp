@@ -271,7 +271,10 @@ TEST(ProgramCache, CapacityZeroDisablesEverything) {
 }
 
 TEST(ProgramCache, ReuseZeroesTimingAndMarksHit) {
+  obs::Registry registry;
+  const FloorMetricIds ids = register_floor_metrics(registry);
   ProgramCache cache(4);
+  cache.set_telemetry(&registry, ids);
   JobSpec spec;
   JobResult result;
   result.pass = true;
@@ -285,8 +288,10 @@ TEST(ProgramCache, ReuseZeroesTimingAndMarksHit) {
   EXPECT_EQ(memo->wall_seconds, 0.0);
   EXPECT_EQ(memo->stage_seconds[0], 0.0);
   EXPECT_TRUE(memo->pass);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.lookups(), 1u);
+  const obs::Snapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.counter("floor.cache.hits.verdict"), 1u);
+  EXPECT_EQ(snap.counter("floor.cache.hits.program"), 0u);
+  EXPECT_EQ(snap.counter("floor.cache.lookups"), 1u);
 }
 
 TEST(ProgramCache, VerdictTierCanBeDisabledIndependently) {

@@ -297,13 +297,13 @@ TEST(HealthMonitor, CacheHitRateFloorAndStageCeilingJudgeMetrics) {
 
   FloorStats stats;
   stats.metrics_enabled = true;
-  stats.cache_lookups = 0;
+  stats.counter(FloorCounter::CacheLookups) = 0;
   HealthReport r = monitor.evaluate(stats, 1.0);
   EXPECT_EQ(r.rule(HealthRule::kCacheHitRate).raw, HealthLevel::kOk);
 
   // 10% windowed hit-rate under a 50% floor (and under half of it).
-  stats.cache_lookups = 100;
-  stats.cache_program_hits = 10;
+  stats.counter(FloorCounter::CacheLookups) = 100;
+  stats.counter(FloorCounter::CacheProgramHits) = 10;
   // Simulate p99 at 2x its ceiling: critical.
   auto& sim = stats.stages[static_cast<std::size_t>(Stage::Simulate)];
   sim.count = 50;

@@ -10,16 +10,18 @@
 #include <cmath>
 #include <cstddef>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "floor/job_factory.hpp"
 #include "floor/session.hpp"
 #include "floor/telemetry.hpp"
 #include "obs/metrics.hpp"
-#include "obs/prometheus.hpp"
 #include "obs/trace.hpp"
 
 namespace casbus::obs {
@@ -189,60 +191,6 @@ TEST(Registry, BoundlessHistogramPercentileIsZero) {
   EXPECT_TRUE(std::isfinite(hist.percentile(0.5)));
 }
 
-// --- Prometheus exposition --------------------------------------------------
-
-TEST(Prometheus, NameMappingSanitizesAndPrefixes) {
-  EXPECT_EQ(prometheus_name("floor.jobs.executed"),
-            "casbus_floor_jobs_executed");
-  EXPECT_EQ(prometheus_name("floor.stage.simulate.us"),
-            "casbus_floor_stage_simulate_us");
-  EXPECT_EQ(prometheus_name("weird-name!", "p_"), "p_weird_name_");
-}
-
-TEST(Prometheus, CountersGaugesAndHistogramsSerialize) {
-  Registry registry;
-  // Register everything before the first write: this thread's shard is
-  // sized at its first add/observe, so metrics registered later would
-  // have no cells here (the documented late-registration semantic).
-  const MetricId c = registry.counter("floor.jobs.executed");
-  registry.gauge("floor.queue.depth", [] { return 3.5; });
-  const MetricId h = registry.histogram("floor.stage.build.us", {1.0, 10.0});
-  registry.add(c, 42);
-  registry.observe(h, 0.5);
-  registry.observe(h, 5.0);
-  registry.observe(h, 100.0);  // overflow
-
-  const std::string text = to_prometheus(registry.snapshot());
-  EXPECT_NE(text.find("# TYPE casbus_floor_jobs_executed_total counter\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("casbus_floor_jobs_executed_total 42\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("# TYPE casbus_floor_queue_depth gauge\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("casbus_floor_queue_depth 3.5\n"), std::string::npos);
-  // Histogram buckets are cumulative and end in +Inf == _count.
-  EXPECT_NE(text.find("casbus_floor_stage_build_us_bucket{le=\"1\"} 1\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("casbus_floor_stage_build_us_bucket{le=\"10\"} 2\n"),
-            std::string::npos);
-  EXPECT_NE(
-      text.find("casbus_floor_stage_build_us_bucket{le=\"+Inf\"} 3\n"),
-      std::string::npos);
-  EXPECT_NE(text.find("casbus_floor_stage_build_us_count 3\n"),
-            std::string::npos);
-  // Every HELP line precedes its TYPE line, and the body ends in a
-  // newline (the exposition format requires it).
-  EXPECT_LT(text.find("# HELP casbus_floor_jobs_executed_total"),
-            text.find("# TYPE casbus_floor_jobs_executed_total"));
-  ASSERT_FALSE(text.empty());
-  EXPECT_EQ(text.back(), '\n');
-}
-
-TEST(Prometheus, EmptySnapshotSerializesToEmptyBody) {
-  Registry registry;
-  EXPECT_TRUE(to_prometheus(registry.snapshot()).empty());
-}
-
 TEST(Registry, LatencyLadderIsAscending) {
   const std::vector<double> ladder = Registry::latency_buckets_us();
   ASSERT_GE(ladder.size(), 2u);
@@ -403,10 +351,11 @@ TEST(FloorTelemetry, StatsSnapshotCountsTheRun) {
   EXPECT_EQ(stats.queue.popped, jobs.size());
   EXPECT_EQ(stats.queue.depth, 0u);
   EXPECT_LE(stats.queue.high_water, jobs.size());
+  const auto c = [&stats](FloorCounter id) { return stats.counter(id); };
   // Cache counters agree with the report's tier accounting.
-  EXPECT_EQ(stats.cache_lookups, jobs.size());
-  EXPECT_EQ(stats.cache_program_hits, report.program_tier_hits);
-  EXPECT_EQ(stats.cache_verdict_hits, report.verdict_tier_hits);
+  EXPECT_EQ(c(FloorCounter::CacheLookups), jobs.size());
+  EXPECT_EQ(c(FloorCounter::CacheProgramHits), report.program_tier_hits);
+  EXPECT_EQ(c(FloorCounter::CacheVerdictHits), report.verdict_tier_hits);
   // Every job that executed recorded one Build-stage observation (Build
   // is never skipped by any cache tier except verdict reuse).
   const auto& build = stats.stages[static_cast<std::size_t>(Stage::Build)];
@@ -419,16 +368,20 @@ TEST(FloorTelemetry, StatsSnapshotCountsTheRun) {
   EXPECT_GT(stats.trace_recorded, 0u);
   EXPECT_EQ(stats.trace_dropped, 0u);
   // Simulation happened and the engines reported effort.
-  EXPECT_GT(stats.sim_memo_lookups, 0u);
-  EXPECT_GT(stats.sim_eval_passes + stats.sim_sweep_cell_evals, 0u);
+  EXPECT_GT(c(FloorCounter::SimMemoLookups), 0u);
+  EXPECT_GT(
+      c(FloorCounter::SimEvalPasses) + c(FloorCounter::SimSweepCellEvals),
+      0u);
   // The behavioural kernel clocked, settled and swept gates; every settle
   // makes at least one delta pass, and a lazy gate engine sweeps at most
   // once per evaluation request.
-  EXPECT_GT(stats.kernel_cycles, 0u);
-  EXPECT_GE(stats.kernel_settles, stats.kernel_cycles);
-  EXPECT_GE(stats.kernel_delta_passes, stats.kernel_settles);
-  EXPECT_GT(stats.kernel_gate_sweeps, 0u);
-  EXPECT_LE(stats.kernel_gate_sweeps, stats.kernel_gate_evals);
+  EXPECT_GT(c(FloorCounter::KernelCycles), 0u);
+  EXPECT_GE(c(FloorCounter::KernelSettles), c(FloorCounter::KernelCycles));
+  EXPECT_GE(c(FloorCounter::KernelDeltaPasses),
+            c(FloorCounter::KernelSettles));
+  EXPECT_GT(c(FloorCounter::KernelGateSweeps), 0u);
+  EXPECT_LE(c(FloorCounter::KernelGateSweeps),
+            c(FloorCounter::KernelGateEvals));
 
   // The wire format round-trips the headline numbers.
   const std::string json = stats.to_json();
@@ -436,9 +389,104 @@ TEST(FloorTelemetry, StatsSnapshotCountsTheRun) {
   EXPECT_NE(json.find("\"metrics_enabled\":true"), std::string::npos);
   EXPECT_NE(json.find("\"submitted\":6"), std::string::npos);
   EXPECT_NE(json.find("\"kernel\":{\"cycles\":" +
-                      std::to_string(stats.kernel_cycles)),
+                      std::to_string(c(FloorCounter::KernelCycles))),
             std::string::npos);
   EXPECT_NE(json.find("\"sweeps_per_cycle\":"), std::string::npos);
+}
+
+// The --stats-json wire format, pinned byte for byte. Every catalogue
+// counter holds a distinct value (row index x 1000 + 7), so a swapped,
+// mis-keyed or mis-scaled row changes the string.
+TEST(FloorTelemetry, StatsJsonWireFormatIsPinned) {
+  FloorStats stats;
+  stats.uptime_seconds = 12.5;
+  stats.workers = 2;
+  stats.metrics_enabled = true;
+  stats.submitted = 40;
+  stats.completed = 38;
+  stats.in_flight = 2;
+  stats.errored = 1;
+  stats.queue.depth = 3;
+  stats.queue.capacity = 64;
+  stats.queue.high_water = 9;
+  stats.queue.pushed = 41;
+  stats.queue.popped = 38;
+  stats.queue.steals = 4;
+  stats.queue.backpressure_engages = 5;
+  stats.queue.backpressure_releases = 5;
+  for (std::size_t i = 0; i < kFloorCounterCount; ++i)
+    stats.counters[i] = i * 1000 + 7;  // precompute: 9007 µs
+  for (std::size_t s = 0; s < kStageCount; ++s) {
+    StageDigest& d = stats.stages[s];
+    d.count = s + 1;
+    d.total_seconds = 0.25 * static_cast<double>(s + 1);
+    d.p50_us = 10.0 * static_cast<double>(s + 1);
+    d.p90_us = 20.0 * static_cast<double>(s + 1);
+    d.p99_us = 40.0 * static_cast<double>(s + 1);
+  }
+  stats.worker_busy_seconds = {1.5, 2.25};
+  stats.worker_inflight_age_seconds = {0.0, 0.125};
+  stats.worker_heartbeats = {20, 18};
+  stats.trace_recorded = 100;
+  stats.trace_dropped = 3;
+
+  EXPECT_EQ(
+      stats.to_json(),
+      "{\"uptime_seconds\":12.5,\"elapsed_seconds\":12.5"
+      ",\"workers\":2,\"metrics_enabled\":true,\"submitted\":40"
+      ",\"completed\":38,\"in_flight\":2,\"errored\":1"
+      ",\"queue\":{\"depth\":3,\"capacity\":64,\"high_water\":9"
+      ",\"pushed\":41,\"popped\":38,\"steals\":4"
+      ",\"backpressure_engages\":5,\"backpressure_releases\":5}"
+      ",\"cache\":{\"lookups\":2007,\"program_hits\":3007"
+      ",\"verdict_hits\":4007,\"insertions\":5007,\"evictions\":6007"
+      ",\"hit_rate\":3.49476831}"
+      ",\"sim\":{\"memo_lookups\":7007,\"memo_hits\":8007"
+      ",\"precompute_seconds\":0.009007,\"eval_passes\":10007"
+      ",\"cell_evals\":11007,\"sweep_cell_evals\":12007}"
+      ",\"sched\":{\"nodes_expanded\":13007,\"prunes\":14007"
+      ",\"improvements\":15007,\"leaves_priced\":16007}"
+      ",\"kernel\":{\"cycles\":17007,\"settles\":18007"
+      ",\"delta_passes\":19007,\"gate_evals\":20007"
+      ",\"gate_sweeps\":21007"
+      ",\"sweeps_per_cycle\":1.23519727"
+      ",\"settle_passes_per_cycle\":1.11759864}"
+      ",\"stages\":{\"build\":{\"count\":1,\"total_seconds\":0.25"
+      ",\"p50_us\":10,\"p90_us\":20,\"p99_us\":40},"
+      "\"schedule\":{\"count\":2,\"total_seconds\":0.5,\"p50_us\":20"
+      ",\"p90_us\":40,\"p99_us\":80},"
+      "\"compile\":{\"count\":3,\"total_seconds\":0.75,\"p50_us\":30"
+      ",\"p90_us\":60,\"p99_us\":120},"
+      "\"verify\":{\"count\":4,\"total_seconds\":1,\"p50_us\":40"
+      ",\"p90_us\":80,\"p99_us\":160},"
+      "\"simulate\":{\"count\":5,\"total_seconds\":1.25"
+      ",\"p50_us\":50,\"p90_us\":100,\"p99_us\":200},"
+      "\"verdict\":{\"count\":6,\"total_seconds\":1.5,\"p50_us\":60"
+      ",\"p90_us\":120,\"p99_us\":240}}"
+      ",\"worker_busy_seconds\":[1.5,2.25]"
+      ",\"worker_inflight_age_seconds\":[0,0.125]"
+      ",\"worker_heartbeats\":[20,18]"
+      ",\"utilization\":0.15,\"trace\":{\"recorded\":100"
+      ",\"dropped\":3}}");
+}
+
+// The registry deduplicates by name, so two rows sharing a name would
+// silently alias one counter; two sharing a (section, key) pair would
+// emit a duplicate JSON key.
+TEST(FloorTelemetry, CatalogueNamesAndJsonKeysAreUnique) {
+  std::set<std::string_view> names;
+  std::set<std::pair<std::string_view, std::string_view>> keys;
+  for (const FloorCounterDef& row : kFloorCounters) {
+    EXPECT_TRUE(names.insert(row.name).second) << row.name;
+    if (!row.section.empty()) {
+      EXPECT_TRUE(keys.insert({row.section, row.key}).second) << row.key;
+    }
+  }
+  obs::Registry registry;
+  const FloorMetricIds ids = register_floor_metrics(registry);
+  const std::set<obs::MetricId> distinct(ids.counters.begin(),
+                                         ids.counters.end());
+  EXPECT_EQ(distinct.size(), kFloorCounterCount);
 }
 
 TEST(FloorTelemetry, StatsSnapshotWithTelemetryOffStaysLive) {
@@ -455,8 +503,8 @@ TEST(FloorTelemetry, StatsSnapshotWithTelemetryOffStaysLive) {
   EXPECT_EQ(stats.completed, jobs.size());
   EXPECT_EQ(stats.queue.popped, jobs.size());
   // Registry-backed counters read zero, by contract.
-  EXPECT_EQ(stats.cache_lookups, 0u);
-  EXPECT_EQ(stats.sim_memo_lookups, 0u);
+  EXPECT_EQ(stats.counter(FloorCounter::CacheLookups), 0u);
+  EXPECT_EQ(stats.counter(FloorCounter::SimMemoLookups), 0u);
   EXPECT_EQ(stats.trace_recorded, 0u);
 }
 
@@ -477,8 +525,8 @@ TEST(FloorTelemetry, VerdictReuseLandsInTheVerdictTierCounter) {
   const FloorReport report = session.drain();
   const FloorStats stats = session.stats_snapshot();
   EXPECT_EQ(report.verdict_tier_hits, 4u);
-  EXPECT_EQ(stats.cache_verdict_hits, 4u);
-  EXPECT_EQ(stats.cache_lookups, 5u);
+  EXPECT_EQ(stats.counter(FloorCounter::CacheVerdictHits), 4u);
+  EXPECT_EQ(stats.counter(FloorCounter::CacheLookups), 5u);
   EXPECT_NEAR(stats.cache_hit_rate(), 0.8, 1e-9);
 }
 

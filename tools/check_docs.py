@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Documentation lint: internal links + benchmark-artifact coverage.
+"""Documentation lint: internal links, benchmark-artifact coverage, and
+the floor metric table.
 
 Usage:
     check_docs.py [--repo DIR]
 
-Two checks, both source-only (no build needed), run by the CI docs job:
+Three checks, all source-only (no build needed), run by the CI docs job
+and by the `check_docs` CTest:
 
 1. Internal links. Every relative markdown link or image in README.md and
    docs/*.md must resolve to an existing file or directory (anchors are
@@ -20,6 +22,13 @@ Two checks, both source-only (no build needed), run by the CI docs job:
    docs/BENCHMARKS.md — adding a bench without documenting its artifact
    fails the job.
 
+3. Metric catalogue. Every "floor.*" name the floor registers — the rows
+   of kFloorCounters, the session's gauges, and the stage histograms
+   (a "floor.stage." literal completed at runtime) — must have a row in
+   the metric table of docs/OBSERVABILITY.md, and every "floor.*" row
+   of that table must name something registered. A templated row such
+   as `floor.stage.<stage>.us` covers a registered prefix.
+
 Exits non-zero with one line per problem.
 """
 
@@ -32,6 +41,12 @@ import sys
 # nesting. Reference-style links are rare here and not checked.
 LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
 REPORTER_RE = re.compile(r'JsonReporter\s+\w+\s*\(\s*"([a-z0-9_]+)"\s*\)')
+# Quoted metric-name literals in the sources that register floor metrics;
+# a literal ending in '.' is a prefix completed at runtime.
+FLOOR_NAME_RE = re.compile(r'"(floor\.[a-z0-9_.]+)"')
+FLOOR_SOURCES = ("src/floor/telemetry.hpp", "src/floor/telemetry.cpp",
+                 "src/floor/session.cpp")
+DOC_ROW_RE = re.compile(r"^\| `(floor\.[^`]+)`", re.MULTILINE)
 
 
 def doc_files(repo):
@@ -78,6 +93,34 @@ def check_bench_coverage(repo, problems):
                 f"docs/BENCHMARKS.md does not document {artifact}")
 
 
+def check_metric_catalogue(repo, problems):
+    registered = set()
+    for source in FLOOR_SOURCES:
+        registered |= set(FLOOR_NAME_RE.findall((repo / source).read_text()))
+    names = {n for n in registered if not n.endswith(".")}
+    prefixes = {n for n in registered if n.endswith(".")}
+    if not names:
+        problems.append("found no floor.* metric names under src/floor/")
+        return
+    doc = (repo / "docs" / "OBSERVABILITY.md").read_text()
+    table = doc.split("## Metric catalogue", 1)[-1].split("\n## ", 1)[0]
+    rows = set(DOC_ROW_RE.findall(table))
+    templated = {r for r in rows if "<" in r}
+    for name in sorted(names - rows):
+        problems.append(
+            f"docs/OBSERVABILITY.md metric table lacks registered {name}")
+    for prefix in sorted(prefixes):
+        if not any(r.startswith(prefix) for r in templated):
+            problems.append(
+                f"docs/OBSERVABILITY.md metric table lacks a {prefix}<...> row")
+    for row in sorted(rows - names):
+        if not (row in templated and
+                any(row.startswith(p) for p in prefixes)):
+            problems.append(
+                f"docs/OBSERVABILITY.md documents unregistered {row}")
+    print(f"metric table ok: {len(names)} names, {len(prefixes)} prefix(es)")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repo", default=".", help="repository root")
@@ -87,6 +130,7 @@ def main():
     problems = []
     check_links(repo, problems)
     check_bench_coverage(repo, problems)
+    check_metric_catalogue(repo, problems)
     for problem in problems:
         print(f"DOCS CHECK FAILED: {problem}", file=sys.stderr)
     return 1 if problems else 0

@@ -5,8 +5,6 @@ Usage:
     floorhealth.py REPORT.json           # pretty-print one health report
     floorhealth.py -                     # read the report from stdin
     floorhealth.py --bundle DIR          # validate an incident bundle
-    floorhealth.py --prom FILE           # lint a Prometheus exposition
-                                         #   (delegates to check_prom.py)
 
 A report is the one-line JSON object HealthReport::to_json() emits
 (written by `floor_service --health-json FILE`); docs/OBSERVABILITY.md
@@ -119,23 +117,11 @@ def main():
                         help="health report file, or '-' for stdin")
     parser.add_argument("--bundle", metavar="DIR",
                         help="validate an incident bundle directory")
-    parser.add_argument("--prom", metavar="FILE",
-                        help="lint a Prometheus exposition file")
     parser.add_argument("--fail-on-warn", action="store_true",
                         help="exit 1 when the overall level is warn or worse")
     parser.add_argument("--fail-on-critical", action="store_true",
                         help="exit 1 when the overall level is critical")
     args = parser.parse_args()
-
-    if args.prom:
-        sys.path.insert(0, str(pathlib.Path(__file__).parent))
-        from check_prom import validate_text
-        errors = validate_text(pathlib.Path(args.prom).read_text())
-        for err in errors:
-            print(f"{args.prom}: {err}")
-        if not errors:
-            print(f"{args.prom}: OK")
-        return 1 if errors else 0
 
     if args.bundle:
         errors = validate_bundle(args.bundle)
@@ -146,7 +132,7 @@ def main():
         return 1 if errors else 0
 
     if args.report is None:
-        parser.error("need a report file, '-', --bundle DIR, or --prom FILE")
+        parser.error("need a report file, '-', or --bundle DIR")
     report = load(args.report)
     print_report(report)
     level = LEVELS.get(report.get("overall", "ok"), 0)

@@ -36,6 +36,10 @@ def fmt_secs(s):
     return f"{s * 1e6:.0f}us"
 
 
+def fmt_value(v):
+    return f"{v:.4g}" if isinstance(v, float) else str(v)
+
+
 def load(path):
     text = sys.stdin.read() if str(path) == "-" else pathlib.Path(path).read_text()
     return json.loads(text)
@@ -44,9 +48,6 @@ def load(path):
 def print_snapshot(s):
     queue = s.get("queue", {})
     cache = s.get("cache", {})
-    sim = s.get("sim", {})
-    sched = s.get("sched", {})
-    kernel = s.get("kernel", {})
     trace = s.get("trace", {})
 
     completed = s.get("completed", 0)
@@ -75,25 +76,13 @@ def print_snapshot(s):
           f" verdict={cache.get('verdict_hits', 0)}"
           f" insertions={cache.get('insertions', 0)}"
           f" evictions={cache.get('evictions', 0)}")
-    memo_lookups = sim.get("memo_lookups", 0)
-    memo_hits = sim.get("memo_hits", 0)
-    print(f"  sim: memo {memo_hits}/{memo_lookups}"
-          f" ({fmt_rate(memo_hits, memo_lookups)}),"
-          f" precompute {fmt_secs(sim.get('precompute_seconds', 0.0))},"
-          f" eval_passes={sim.get('eval_passes', 0)}"
-          f" cell_evals={sim.get('cell_evals', 0)}"
-          f" sweep_cell_evals={sim.get('sweep_cell_evals', 0)}")
-    print(f"  kernel: cycles={kernel.get('cycles', 0)}"
-          f" settles={kernel.get('settles', 0)}"
-          f" delta_passes={kernel.get('delta_passes', 0)}"
-          f" gate_sweeps={kernel.get('gate_sweeps', 0)}"
-          f"/{kernel.get('gate_evals', 0)} evals,"
-          f" {kernel.get('sweeps_per_cycle', 0.0):.2f} sweeps/cycle,"
-          f" {kernel.get('settle_passes_per_cycle', 0.0):.2f} passes/cycle")
-    print(f"  sched: nodes={sched.get('nodes_expanded', 0)}"
-          f" prunes={sched.get('prunes', 0)}"
-          f" improvements={sched.get('improvements', 0)}"
-          f" leaves_priced={sched.get('leaves_priced', 0)}")
+    # Engine sections print every key the snapshot carries, so a new
+    # catalogue counter shows up without a tool change.
+    for section in ("sim", "sched", "kernel"):
+        values = s.get(section, {})
+        if values:
+            print(f"  {section}: " + " ".join(
+                f"{key}={fmt_value(value)}" for key, value in values.items()))
     stages = s.get("stages", {})
     if any(d.get("count", 0) for d in stages.values()):
         print("  stages:")
