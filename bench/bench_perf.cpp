@@ -19,6 +19,7 @@
 #include "netlist/opt.hpp"
 #include "netlist/packed_gatesim.hpp"
 #include "p1500/wrapper.hpp"
+#include "sched/balance.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/simulation.hpp"
 #include "soc/core_model.hpp"
@@ -468,6 +469,23 @@ void BM_GreedySchedule(benchmark::State& state) {
   state.counters["balances"] = static_cast<double>(stats.leaves_priced);
 }
 BENCHMARK(BM_GreedySchedule);
+
+/// One grouped chain balance (LPT pass; the polish stops at 96 items) of
+/// every scan chain of the 1000-core mixed SoC on a 32-wire bus — the
+/// kernel every scheduling strategy prices sessions with.
+void BM_GroupedBalance(benchmark::State& state) {
+  const explore::GeneratedSoc soc =
+      explore::SocGenerator(1).generate(1000, explore::SocProfile::Mixed);
+  std::vector<sched::ChainItem> items;
+  for (std::size_t c = 0; c < soc.cores.size(); ++c)
+    for (std::size_t ch = 0; ch < soc.cores[c].chains.size(); ++ch)
+      items.push_back(sched::ChainItem{c, ch, soc.cores[c].chains[ch]});
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        sched::assign_lpt_grouped_refined(items, 32).max_load());
+  state.counters["items"] = static_cast<double>(items.size());
+}
+BENCHMARK(BM_GroupedBalance);
 
 /// Console reporter that additionally forwards every run into the shared
 /// JsonReporter, so bench_perf emits the same BENCH_<name>.json artifact

@@ -1,8 +1,8 @@
 #include "sched/balance.hpp"
 
 #include <algorithm>
-#include <numeric>
-#include <unordered_map>
+#include <cstdint>
+#include <utility>
 
 namespace casbus::sched {
 
@@ -18,6 +18,36 @@ Balance make_balance(const std::vector<ChainItem>& items, unsigned wires,
   return b;
 }
 
+/// Item indices by length descending, index ascending on ties (the order a
+/// stable sort by length gives), from one sort of packed 64-bit keys. A
+/// length or index that does not fit 32 bits takes the pair-sort path.
+std::vector<std::uint64_t> lpt_order(const std::vector<ChainItem>& items) {
+  constexpr std::uint64_t kMax32 = UINT32_MAX;
+  std::vector<std::uint64_t> order(items.size());
+  const bool packed =
+      items.size() <= kMax32 &&
+      std::all_of(items.begin(), items.end(),
+                  [](const ChainItem& it) { return it.length <= kMax32; });
+  if (packed) {
+    for (std::size_t i = 0; i < items.size(); ++i)
+      order[i] = ((kMax32 - items[i].length) << 32) | i;
+    std::sort(order.begin(), order.end());
+    for (std::uint64_t& key : order) key &= kMax32;
+    return order;
+  }
+  std::vector<std::pair<std::size_t, std::size_t>> by_length(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i)
+    by_length[i] = {items[i].length, i};
+  std::sort(by_length.begin(), by_length.end(),
+            [](const auto& a, const auto& b) {
+              return a.first > b.first ||
+                     (a.first == b.first && a.second < b.second);
+            });
+  for (std::size_t k = 0; k < by_length.size(); ++k)
+    order[k] = by_length[k].second;
+  return order;
+}
+
 }  // namespace
 
 Balance assign_round_robin(const std::vector<ChainItem>& items,
@@ -31,15 +61,9 @@ Balance assign_round_robin(const std::vector<ChainItem>& items,
 
 Balance assign_lpt(const std::vector<ChainItem>& items, unsigned wires) {
   CASBUS_REQUIRE(wires >= 1, "assign_lpt: need at least one wire");
-  std::vector<std::size_t> order(items.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return items[a].length > items[b].length;
-                   });
   std::vector<unsigned> w(items.size(), 0);
   std::vector<std::size_t> load(wires, 0);
-  for (const std::size_t i : order) {
+  for (const std::uint64_t i : lpt_order(items)) {
     const auto best = static_cast<unsigned>(
         std::min_element(load.begin(), load.end()) - load.begin());
     w[i] = best;
@@ -96,20 +120,54 @@ Balance assign_lpt_refined(const std::vector<ChainItem>& items,
 
 namespace {
 
-/// True when moving items[i] onto `wire` keeps per-core wire uniqueness
-/// (unless that core is overflowing the bus anyway).
-bool wire_free_for(const std::vector<ChainItem>& items,
-                   const std::vector<unsigned>& wire_of_item, unsigned wires,
-                   std::size_t i, unsigned wire) {
-  std::size_t core_chains = 0;
-  for (const ChainItem& it : items)
-    if (it.core == items[i].core) ++core_chains;
-  if (core_chains > wires) return true;  // relaxed: wrapper concatenation
-  for (std::size_t j = 0; j < items.size(); ++j) {
-    if (j == i || items[j].core != items[i].core) continue;
-    if (wire_of_item[j] == wire) return false;
+/// Dense per-core slots: slot_of_item[i] numbers items[i].core among the
+/// distinct core ids in order of first appearance, chains[slot] counts
+/// that core's items.
+struct CoreSlots {
+  std::vector<std::uint32_t> slot_of_item;
+  std::vector<std::size_t> chains;
+};
+
+/// Core ids may be large and non-contiguous, so they are numbered through
+/// a small open-addressing table (power of two, at most half full, linear
+/// probing). Callers list a core's chains together, so only the first item
+/// of each run of equal ids is looked up.
+CoreSlots core_slots(const std::vector<ChainItem>& items) {
+  const auto run_head = [&](std::size_t i) {
+    return i == 0 || items[i].core != items[i - 1].core;
+  };
+  std::size_t runs = 0;
+  for (std::size_t i = 0; i < items.size(); ++i) runs += run_head(i) ? 1 : 0;
+  int bits = 1;
+  while ((std::size_t{1} << bits) < 2 * runs) ++bits;
+  constexpr std::uint32_t kEmpty = UINT32_MAX;
+  struct Entry {
+    std::size_t core = 0;
+    std::uint32_t slot = kEmpty;
+  };
+  std::vector<Entry> table(std::size_t{1} << bits);
+  const std::size_t mask = table.size() - 1;
+
+  CoreSlots s;
+  s.slot_of_item.resize(items.size());
+  std::uint32_t slot = 0;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (run_head(i)) {
+      const std::size_t core = items[i].core;
+      auto h = static_cast<std::size_t>(
+          (std::uint64_t{core} * UINT64_C(0x9E3779B97F4A7C15)) >> (64 - bits));
+      while (table[h].slot != kEmpty && table[h].core != core)
+        h = (h + 1) & mask;
+      if (table[h].slot == kEmpty) {
+        table[h] = {core, static_cast<std::uint32_t>(s.chains.size())};
+        s.chains.push_back(0);
+      }
+      slot = table[h].slot;
+    }
+    s.slot_of_item[i] = slot;
+    ++s.chains[slot];
   }
-  return true;
+  return s;
 }
 
 }  // namespace
@@ -117,63 +175,67 @@ bool wire_free_for(const std::vector<ChainItem>& items,
 Balance assign_lpt_grouped(const std::vector<ChainItem>& items,
                            unsigned wires) {
   CASBUS_REQUIRE(wires >= 1, "assign_lpt_grouped: need at least one wire");
-  std::vector<std::size_t> order(items.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return items[a].length > items[b].length;
-                   });
-
-  // Per-core wire occupancy, maintained incrementally: item_slot maps each
-  // item to a dense per-core slot, held[slot][w] counts that core's items
-  // currently carrying wire value w. Unassigned items sit at the default
-  // wire 0 and are counted — the same first-fit semantics the previous
-  // O(items^2 * wires) wire_free_for scan produced — so assignments are
-  // identical while the pass drops to O(items * wires). That difference is
-  // what lets session pricing scale to the 100–1000-core synthetic SoCs of
-  // src/explore (thousands of chain items per partition).
-  std::unordered_map<std::size_t, std::size_t> slot_of;
-  std::vector<std::size_t> chains_of;  // items per core
-  std::vector<std::size_t> item_slot(items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const auto [it, fresh] = slot_of.try_emplace(items[i].core,
-                                                 slot_of.size());
-    if (fresh) chains_of.push_back(0);
-    item_slot[i] = it->second;
-    ++chains_of[it->second];
+  Balance b;
+  b.wire_of_item.assign(items.size(), 0);
+  b.wire_load.assign(wires, 0);
+  if (wires == 1) {  // every core is relaxed or has one chain: all on wire 0
+    for (const ChainItem& it : items) b.wire_load[0] += it.length;
+    return b;
   }
-  std::vector<std::vector<std::size_t>> held(
-      chains_of.size(), std::vector<std::size_t>(wires, 0));
-  for (const std::size_t slot : item_slot) ++held[slot][0];
 
-  std::vector<unsigned> w(items.size(), 0);
-  std::vector<std::size_t> load(wires, 0);
-  for (const std::size_t i : order) {
-    const std::size_t slot = item_slot[i];
+  const CoreSlots cores = core_slots(items);
+  const std::size_t words = (wires + 63) / 64;
+  std::vector<std::uint64_t> taken(cores.chains.size() * words, 0);
+  std::vector<std::size_t> unplaced = cores.chains;
+
+  struct WireLoad {
+    std::size_t load;
+    unsigned wire;
+    bool operator<(const WireLoad& o) const {
+      return load < o.load || (load == o.load && wire < o.wire);
+    }
+  };
+  // Wires in (load, index) order: the least-loaded admissible wire, lowest
+  // index on ties, is the first one the item's core does not block.
+  std::vector<WireLoad> by_load(wires);
+  for (unsigned k = 0; k < wires; ++k) by_load[k] = {0, k};
+
+  for (const std::uint64_t i : lpt_order(items)) {
+    const std::uint32_t slot = cores.slot_of_item[i];
+    --unplaced[slot];
+    std::size_t pos = 0;
     // Relaxed when the core overflows the bus (wrapper concatenation).
-    const bool relaxed = chains_of[slot] > wires;
-    unsigned best = 0;
-    std::size_t best_load = SIZE_MAX;
-    bool found = false;
-    for (unsigned cand = 0; cand < wires; ++cand) {
-      if (!relaxed && held[slot][cand] - (w[i] == cand ? 1 : 0) > 0)
-        continue;  // a sibling chain already holds this wire
-      if (load[cand] < best_load) {
-        best_load = load[cand];
-        best = cand;
-        found = true;
+    if (cores.chains[slot] <= wires) {
+      // A wire is blocked when a placed sibling holds it. Unplaced
+      // siblings still sit on wire 0, so wire 0 is blocked too until this
+      // is the core's last chain to be placed. Every other sibling blocks
+      // at most one wire (chains - 1 in all) and chains <= wires, so some
+      // wire is always free.
+      std::uint64_t* held = &taken[slot * words];
+      for (; pos < wires; ++pos) {
+        const unsigned w = by_load[pos].wire;
+        if ((held[w / 64] >> (w % 64) & 1) == 0 &&
+            (w != 0 || unplaced[slot] == 0))
+          break;
       }
+      CASBUS_REQUIRE(pos < wires, "assign_lpt_grouped: no free wire");
+      const unsigned w = by_load[pos].wire;
+      held[w / 64] |= std::uint64_t{1} << (w % 64);
     }
-    if (!found) {  // constraint unsatisfiable; fall back to least loaded
-      best = static_cast<unsigned>(
-          std::min_element(load.begin(), load.end()) - load.begin());
-    }
-    --held[slot][w[i]];
-    w[i] = best;
-    ++held[slot][best];
-    load[best] += items[i].length;
+    const WireLoad moved{by_load[pos].load + items[i].length,
+                         by_load[pos].wire};
+    b.wire_of_item[i] = moved.wire;
+    // Re-sort: the grown wire tends to land nearer the heavy end, so look
+    // for its place from there, then shift the lighter wires forward.
+    std::size_t to = wires;
+    while (to > pos + 1 && moved < by_load[to - 1]) --to;
+    std::move(by_load.begin() + static_cast<std::ptrdiff_t>(pos + 1),
+              by_load.begin() + static_cast<std::ptrdiff_t>(to),
+              by_load.begin() + static_cast<std::ptrdiff_t>(pos));
+    by_load[to - 1] = moved;
   }
-  return make_balance(items, wires, w);
+  for (const WireLoad& wl : by_load) b.wire_load[wl.wire] = wl.load;
+  return b;
 }
 
 Balance assign_lpt_grouped_refined(const std::vector<ChainItem>& items,
@@ -181,13 +243,33 @@ Balance assign_lpt_grouped_refined(const std::vector<ChainItem>& items,
   Balance b = assign_lpt_grouped(items, wires);
   if (items.empty()) return b;
 
-  // The move/swap polish below costs O(items^3) per round in the worst
-  // case; past this size the LPT 4/3 guarantee stands alone. Only the
-  // synthetic 100–1000-core sessions of src/explore ever cross the limit
-  // — every physical session in the tree stays far below it (the largest
-  // legacy user balances ~20 chains), so their placements are unchanged.
+  // The move/swap polish below costs O(items * wires + items^2) per round;
+  // past this size the LPT 4/3 guarantee stands alone. Only the synthetic
+  // 100–1000-core sessions of src/explore ever cross the limit — every
+  // physical session in the tree stays far below it (the largest legacy
+  // user balances ~20 chains). The limit stays at 96 although the polish
+  // is now cheap: raising it would change explore schedules.
   constexpr std::size_t kRefineItemLimit = 96;
   if (items.size() > kRefineItemLimit) return b;
+
+  const CoreSlots cores = core_slots(items);
+  // held[slot * wires + w] counts the core's items on wire w. A relaxed
+  // core (more chains than wires) is never checked.
+  std::vector<std::uint32_t> held(cores.chains.size() * wires, 0);
+  for (std::size_t i = 0; i < items.size(); ++i)
+    ++held[cores.slot_of_item[i] * std::size_t{wires} + b.wire_of_item[i]];
+  const auto free_for = [&](std::size_t i, unsigned wire,
+                            std::uint32_t discount) {
+    const std::uint32_t slot = cores.slot_of_item[i];
+    return cores.chains[slot] > wires ||
+           held[slot * std::size_t{wires} + wire] - discount == 0;
+  };
+  const auto place = [&](std::size_t i, unsigned wire) {
+    const std::size_t row = cores.slot_of_item[i] * std::size_t{wires};
+    --held[row + b.wire_of_item[i]];
+    ++held[row + wire];
+    b.wire_of_item[i] = wire;
+  };
 
   bool improved = true;
   while (improved) {
@@ -198,19 +280,18 @@ Balance assign_lpt_grouped_refined(const std::vector<ChainItem>& items,
       const unsigned src = b.wire_of_item[i];
       if (b.wire_load[src] != before) continue;
       for (unsigned dst = 0; dst < wires; ++dst) {
-        if (dst == src ||
-            !wire_free_for(items, b.wire_of_item, wires, i, dst))
-          continue;
+        if (dst == src || !free_for(i, dst, 0)) continue;
         if (b.wire_load[dst] + items[i].length < before) {
           b.wire_load[src] -= items[i].length;
           b.wire_load[dst] += items[i].length;
-          b.wire_of_item[i] = dst;
+          place(i, dst);
           improved = true;
           break;
         }
       }
     }
-    // Constraint-preserving swaps.
+    // Constraint-preserving swaps: after the swap j no longer holds wj
+    // (nor i wi), so a same-core partner is discounted from the count.
     for (std::size_t i = 0; i < items.size() && !improved; ++i) {
       const unsigned wi = b.wire_of_item[i];
       if (b.wire_load[wi] != before) continue;
@@ -219,15 +300,13 @@ Balance assign_lpt_grouped_refined(const std::vector<ChainItem>& items,
         if (wj == wi || items[j].length >= items[i].length) continue;
         const std::size_t delta = items[i].length - items[j].length;
         if (b.wire_load[wj] + delta >= before) continue;
-        // Tentative swap must keep both cores' constraints.
-        std::vector<unsigned> trial = b.wire_of_item;
-        std::swap(trial[i], trial[j]);
-        if (!wire_free_for(items, trial, wires, i, trial[i]) ||
-            !wire_free_for(items, trial, wires, j, trial[j]))
-          continue;
+        const std::uint32_t same =
+            cores.slot_of_item[i] == cores.slot_of_item[j] ? 1 : 0;
+        if (!free_for(i, wj, same) || !free_for(j, wi, same)) continue;
         b.wire_load[wi] -= delta;
         b.wire_load[wj] += delta;
-        b.wire_of_item = std::move(trial);
+        place(i, wj);
+        place(j, wi);
         improved = true;
       }
     }

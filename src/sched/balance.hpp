@@ -55,10 +55,22 @@ Balance assign_lpt_refined(const std::vector<ChainItem>& items,
 /// on *distinct* wires (an N/P switch routes each selected wire to exactly
 /// one port). When a core has more chains than wires the constraint is
 /// relaxed for that core (modeling wrapper-level chain concatenation).
+///
+/// Items go longest first (index order on ties), each to the least-loaded
+/// wire its core does not block (lowest wire on ties). Wire-0 rule: a
+/// core's unplaced chains count as sitting on wire 0, so a chain takes
+/// wire 0 only when it is the last of its core's chains to be placed.
+///
+/// Cost: one O(items log items) sort, then per item a walk past the wires
+/// its core blocks (fewer than its chain count) and one shift of the
+/// load-sorted wire list (at most \p wires entries). With one wire every
+/// chain lands on it and nothing is sorted.
 Balance assign_lpt_grouped(const std::vector<ChainItem>& items,
                            unsigned wires);
 
-/// Grouped LPT plus constraint-preserving move/swap local search. This is
+/// Grouped LPT plus constraint-preserving move/swap local search (first
+/// improvement, O(items x wires + items^2) per round, each constraint check
+/// O(1)); the search runs only on sessions of at most 96 items. This is
 /// the placement the scheduler uses for physically executable sessions.
 Balance assign_lpt_grouped_refined(const std::vector<ChainItem>& items,
                                    unsigned wires);
