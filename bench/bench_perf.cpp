@@ -137,7 +137,9 @@ BENCHMARK(BM_GateSimCore)->Arg(256)->Arg(1024)->Arg(4096);
 /// in from the wrapper's parallel inputs on every clock. One iteration is
 /// one Simulation::step (settle over wrapper and core, then tick), so
 /// sim_cycles_per_sec is the behavioural kernel's clock rate, dominated
-/// by the core's gate sweeps; sweeps_per_cycle records how many it took.
+/// by the core's gate sweeps; sweeps_per_cycle records how many it took
+/// and cells_per_cycle how many cells they evaluated (under scan_en the
+/// core's shift plan: one scan mux per flip-flop, not the whole cloud).
 /// The wrapper is registered first, in data-flow order, so the new scan
 /// bits and the captured state reach the core in the same delta pass and
 /// a lazy GateSim settles both with one sweep per clock. A simulator that
@@ -201,15 +203,20 @@ void BM_NetlistCoreShift(benchmark::State& state) {
 
   Rng rng(3);
   const std::uint64_t sweeps0 = core.gatesim().sweeps();
+  const std::uint64_t cells0 = core.gatesim().cell_evals();
   for (auto _ : state) {
     for (sim::Wire* w : wpi) w->set(rng.coin());
     sim.step();
   }
+  const auto per_cycle = [&state](std::uint64_t n) {
+    return static_cast<double>(n) / static_cast<double>(state.iterations());
+  };
   state.counters["sim_cycles_per_sec"] =
       benchmark::Counter(1.0, benchmark::Counter::kIsIterationInvariantRate);
   state.counters["sweeps_per_cycle"] =
-      static_cast<double>(core.gatesim().sweeps() - sweeps0) /
-      static_cast<double>(state.iterations());
+      per_cycle(core.gatesim().sweeps() - sweeps0);
+  state.counters["cells_per_cycle"] =
+      per_cycle(core.gatesim().cell_evals() - cells0);
 }
 BENCHMARK(BM_NetlistCoreShift)->Arg(256)->Arg(1024);
 

@@ -80,6 +80,7 @@ void harvest_tester(const soc::SocTester& tester, JobResult& result) {
   result.engine.kernel_delta_passes = kernel.sim.delta_passes;
   result.engine.kernel_gate_evals = kernel.gate_eval_requests;
   result.engine.kernel_gate_sweeps = kernel.gate_sweeps;
+  result.engine.kernel_gate_cells = kernel.gate_cell_evals;
 }
 
 /// Maps the floor-level engine knobs onto soc::TesterOptions.

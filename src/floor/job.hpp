@@ -138,6 +138,7 @@ struct JobEngineCounters {
   std::uint64_t kernel_delta_passes = 0;  ///< ... delta_passes
   std::uint64_t kernel_gate_evals = 0;    ///< GateSim::eval() requests
   std::uint64_t kernel_gate_sweeps = 0;   ///< GateSim levelized sweeps
+  std::uint64_t kernel_gate_cells = 0;    ///< cells those sweeps evaluated
 };
 
 /// Outcome of one job. Every field except wall_seconds, stage_seconds,

@@ -53,8 +53,9 @@ enum class FloorCounter : std::uint8_t {
   KernelDeltaPasses,
   KernelGateEvals,
   KernelGateSweeps,
+  KernelGateCells,
 };
-inline constexpr std::size_t kFloorCounterCount = 22;
+inline constexpr std::size_t kFloorCounterCount = 23;
 
 /// The JobEngineCounters field a counter is credited from after every
 /// job (emit_job_telemetry). A seconds field is credited in whole µs and
@@ -138,6 +139,8 @@ inline constexpr std::array<FloorCounterDef, kFloorCounterCount>
          "gate_evals", &JobEngineCounters::kernel_gate_evals},
         {FloorCounter::KernelGateSweeps, "floor.kernel.gate_sweeps",
          "kernel", "gate_sweeps", &JobEngineCounters::kernel_gate_sweeps},
+        {FloorCounter::KernelGateCells, "floor.kernel.gate_cells", "kernel",
+         "gate_cells", &JobEngineCounters::kernel_gate_cells},
     }};
 
 static_assert(

@@ -16,6 +16,18 @@
 /// read. Forces injected from outside (fault experiments) dirty the
 /// simulator like any other mutator, so no caller-side cache can go stale.
 ///
+/// A simulator may carry a shift plan (`plan_shift`): the cells in the
+/// backward cone of every flip-flop D pin, every Dffe enable pin and a set
+/// of observed outputs, where a Mux2 selected by the scan-enable net
+/// contributes only its select and in(1) (`logic_mux(One, a, b) == b`).
+/// While scan-enable is One and no force is active, a settle evaluates
+/// only the plan; the nets outside it are then stale. The stale-net
+/// contract: `eval()`, `tick()` and `output*` of an output inside the plan
+/// settle the plan only; `net_value()` and `output*` of an output outside
+/// it settle everything first, and so does any settle while a force is
+/// active, so fault experiments keep the full-sweep semantics. Every read
+/// therefore returns what a full sweep would.
+///
 /// GateSim advances one pattern per eval pass; PackedGateSim
 /// (packed_gatesim.hpp) advances 64. Both share the levelization through
 /// LevelizedNetlist, so several simulators of the same design levelize once.
@@ -81,9 +93,9 @@ class GateSim {
   [[nodiscard]] Logic4 output(const std::string& name);
   [[nodiscard]] Logic4 output_index(std::size_t index);
 
-  /// Raw net inspection; settles pending changes first.
+  /// Raw net inspection; settles every net first.
   [[nodiscard]] Logic4 net_value(NetId net) {
-    eval_if_dirty();
+    eval_all();
     return net_val_.at(net);
   }
 
@@ -99,6 +111,12 @@ class GateSim {
   /// Combinational depth (max cell level) — reported by the generator
   /// benches as the switch's critical path in gate stages.
   [[nodiscard]] std::size_t depth() const noexcept { return lev_->depth(); }
+
+  /// Installs the shift plan of the file comment: \p scan_en is the
+  /// position of the scan-enable input, \p observed the outputs a shift
+  /// clock reads. Replaces any earlier plan.
+  void plan_shift(std::size_t scan_en,
+                  const std::vector<std::size_t>& observed);
 
   // --- fault injection (used by tpg::FaultSimulator) ------------------------
 
@@ -116,16 +134,31 @@ class GateSim {
     return eval_requests_;
   }
   [[nodiscard]] std::uint64_t sweeps() const noexcept { return sweeps_; }
+  /// Combinational cells those sweeps evaluated (a plan sweep counts only
+  /// the plan's cells).
+  [[nodiscard]] std::uint64_t cell_evals() const noexcept {
+    return cell_evals_;
+  }
 
  private:
   [[nodiscard]] bool has_forces() const noexcept { return n_forces_ > 0; }
   [[nodiscard]] const Netlist& nl() const noexcept { return lev_->netlist(); }
 
   Logic4 eval_cell(const Cell& c) const;
+  /// True when the next sweep may be a plan sweep.
+  [[nodiscard]] bool shifting() const noexcept {
+    return plan_scan_en_ < input_val_.size() && !has_forces() &&
+           input_val_[plan_scan_en_] == Logic4::One;
+  }
   void eval_if_dirty() {
     if (dirty_) sweep();
   }
-  void sweep();
+  void eval_all() {
+    if (dirty_ || stale_) sweep(/*full=*/true);
+  }
+  /// Settles the plan only when \p full is false and shifting() holds,
+  /// every net otherwise.
+  void sweep(bool full = false);
 
   std::shared_ptr<const LevelizedNetlist> lev_;
   std::vector<Logic4> net_val_;
@@ -136,8 +169,15 @@ class GateSim {
   std::vector<bool> force_on_;     // per-net force active flag
   std::size_t n_forces_ = 0;
   bool dirty_ = true;              // net_val_ may be stale
+  bool stale_ = false;             // only the plan's nets are current
+  // Shift plan (plan_shift); plan_scan_en_ is out of range without one.
+  std::size_t plan_scan_en_ = SIZE_MAX;
+  std::vector<CellId> plan_cells_;     // comb_order() subsequence
+  std::vector<NetId> plan_reset_;      // cone nets a plan sweep re-seeds
+  std::vector<bool> output_planned_;   // per output: settled by the plan
   std::uint64_t eval_requests_ = 0;
   std::uint64_t sweeps_ = 0;
+  std::uint64_t cell_evals_ = 0;
 };
 
 }  // namespace casbus::netlist

@@ -54,22 +54,26 @@ NetlistCore::NetlistCore(sim::Simulation& sim_ctx, std::string name,
     term_.scan_out.push_back(&sim_ctx.wire(oso.str(), Logic4::Zero));
     term_.chain_lengths.push_back(core_.chains[c].size());
   }
+  sim_.plan_shift(ports_.scan_en, ports_.so);
   sim_.reset();
 }
 
 void NetlistCore::evaluate() {
   const auto drive = [this](std::size_t index, const sim::Wire* w) {
     const Logic4 v = as_logic(w);
-    sim_.set_input_index(index, is01(v) ? v : Logic4::Zero);
+    const Logic4 driven = is01(v) ? v : Logic4::Zero;
+    sim_.set_input_index(index, driven);
+    return driven;
   };
   for (std::size_t i = 0; i < ports_.pi.size(); ++i)
     drive(ports_.pi[i], term_.func_in[i]);
-  drive(ports_.scan_en, term_.scan_en);
+  const bool shifting = drive(ports_.scan_en, term_.scan_en) == Logic4::One;
   for (std::size_t c = 0; c < ports_.si.size(); ++c)
     drive(ports_.si[c], term_.scan_in[c]);
   sim_.eval();  // sweeps only if an input (or a force) changed
-  for (std::size_t i = 0; i < ports_.po.size(); ++i)
-    term_.func_out[i]->set(sim_.output_index(ports_.po[i]));
+  if (!shifting)  // fout holds under scan_en (core_model.hpp)
+    for (std::size_t i = 0; i < ports_.po.size(); ++i)
+      term_.func_out[i]->set(sim_.output_index(ports_.po[i]));
   for (std::size_t c = 0; c < ports_.so.size(); ++c)
     term_.scan_out[c]->set(sim_.output_index(ports_.so[c]));
 }

@@ -57,6 +57,14 @@ class CoreModel : public sim::Module {
 /// its own GateSim, with mux-D scan chains and a gated clock. This is the
 /// model behind scannable cores (paper Fig. 2a) and externally-tested cores
 /// (Fig. 2c — same core, different pattern source).
+///
+/// The GateSim carries a shift plan over the flip-flops and the `so`
+/// outputs (gatesim.hpp), so a clock with scan_en = 1 evaluates the scan
+/// chains, not the combinational cloud. The `fout` wires hold their last
+/// functional value while scan_en = 1: nothing reads them then, since the
+/// wrapper samples `core_out` only in Bypass/Preload (scan_en = 0) and on
+/// a capture edge, which the tester never raises together with ShiftWR.
+/// The next evaluation with scan_en = 0 refreshes them.
 class NetlistCore : public CoreModel {
  public:
   /// Creates terminal wires inside \p sim_ctx (named `<name>.<port>`)

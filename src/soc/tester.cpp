@@ -72,6 +72,7 @@ KernelStats SocTester::kernel_stats() const {
   const auto add = [&k](const netlist::GateSim& g) {
     k.gate_eval_requests += g.eval_requests();
     k.gate_sweeps += g.sweeps();
+    k.gate_cell_evals += g.cell_evals();
   };
   for (const CoreInstance& core : soc_.cores()) {
     switch (core.kind) {
@@ -512,9 +513,7 @@ ScanSessionResult SocTester::run_scan_session(const ScanSession& session) {
 
     // Capture phase (loads pattern `round` into every target).
     if (loading) {
-      soc_.wsc().capture_wr->set(true);
-      sim.step();
-      soc_.wsc().capture_wr->set(false);
+      capture_clock();
       for (std::size_t t = 0; t < session.targets.size(); ++t) {
         const ScanTarget& target = session.targets[t];
         if (round < target.patterns.size()) {
@@ -667,9 +666,7 @@ ExtestResult SocTester::run_extest(std::size_t vectors,
     sim.step();
     soc_.wsc().update_wr->set(false);
     sim.settle();
-    soc_.wsc().capture_wr->set(true);
-    sim.step();
-    soc_.wsc().capture_wr->set(false);
+    capture_clock();
 
     // Unload and compare at the destination input cells.
     BitVector unloaded(total_bits);
@@ -717,6 +714,14 @@ void SocTester::config_shift(tam::CasBusChain& chain, sim::Wire& data_in,
   chain.config_wire().set(true);
   data_in.set(bit);
   soc_.simulation().step();
+}
+
+void SocTester::capture_clock() {
+  CASBUS_REQUIRE(soc_.wsc().shift_wr->get() != Logic4::One,
+                 "SocTester: CaptureWR raised together with ShiftWR");
+  soc_.wsc().capture_wr->set(true);
+  soc_.simulation().step();
+  soc_.wsc().capture_wr->set(false);
 }
 
 }  // namespace casbus::soc

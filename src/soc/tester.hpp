@@ -153,6 +153,7 @@ struct KernelStats {
   sim::KernelCounters sim;
   std::uint64_t gate_eval_requests = 0;  ///< GateSim::eval() calls
   std::uint64_t gate_sweeps = 0;         ///< levelized sweeps they cost
+  std::uint64_t gate_cell_evals = 0;     ///< cells those sweeps evaluated
 };
 
 /// Drives a Soc through complete test programs.
@@ -265,6 +266,11 @@ class SocTester {
 
   /// Pulses one shift cycle on the config chain with wire-0 data \p bit.
   void config_shift(tam::CasBusChain& chain, sim::Wire& data_in, bool bit);
+
+  /// One CaptureWR clock. Requires ShiftWR low: a core under scan_en does
+  /// not refresh its functional outputs (NetlistCore), so a capture edge
+  /// that also shifts would sample stale values.
+  void capture_clock();
 
   /// Golden-model simulator of \p ref, created (and pinned) on first use.
   [[nodiscard]] tpg::FaultSimulator& golden_for(const CoreRef& ref);

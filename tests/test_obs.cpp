@@ -382,6 +382,9 @@ TEST(FloorTelemetry, StatsSnapshotCountsTheRun) {
   EXPECT_GT(c(FloorCounter::KernelGateSweeps), 0u);
   EXPECT_LE(c(FloorCounter::KernelGateSweeps),
             c(FloorCounter::KernelGateEvals));
+  // Every sweep, shift-plan ones included, evaluates at least one cell.
+  EXPECT_GE(c(FloorCounter::KernelGateCells),
+            c(FloorCounter::KernelGateSweeps));
 
   // The wire format round-trips the headline numbers.
   const std::string json = stats.to_json();
@@ -448,7 +451,7 @@ TEST(FloorTelemetry, StatsJsonWireFormatIsPinned) {
       ",\"improvements\":15007,\"leaves_priced\":16007}"
       ",\"kernel\":{\"cycles\":17007,\"settles\":18007"
       ",\"delta_passes\":19007,\"gate_evals\":20007"
-      ",\"gate_sweeps\":21007"
+      ",\"gate_sweeps\":21007,\"gate_cells\":22007"
       ",\"sweeps_per_cycle\":1.23519727"
       ",\"settle_passes_per_cycle\":1.11759864}"
       ",\"stages\":{\"build\":{\"count\":1,\"total_seconds\":0.25"
