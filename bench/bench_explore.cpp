@@ -166,9 +166,9 @@ int main() {
     std::cout << "\nParallel B&B (1000-core mixed SoC, " << hw
               << " hardware threads):\n\n";
     Table ladder({"sched_threads", "node budget", "cycles", "gap",
-                  "nodes/s", "sched s"},
+                  "nodes/s", "balances", "memo hits", "sched s"},
                  {Align::Right, Align::Right, Align::Right, Align::Right,
-                  Align::Right, Align::Right});
+                  Align::Right, Align::Right, Align::Right, Align::Right});
 
     // Gap ladder: budget 600*T — the node count a fixed wall-clock slice
     // buys on a T-way frontier — with a dense dive discipline (one greedy
@@ -198,6 +198,8 @@ int main() {
       rep.record("parallel_bb", params, "bound_gap", bb.gap());
       rep.record("parallel_bb", params, "nodes_expanded", bb.nodes_expanded);
       rep.record("parallel_bb", params, "dives", bb.dives);
+      rep.record("parallel_bb", params, "balances", bb.balances);
+      rep.record("parallel_bb", params, "term_memo_hits", bb.term_memo_hits);
       rep.record("parallel_bb", params, "schedule_seconds", secs);
       rep.record("parallel_bb", params, "nodes_per_sec", nodes_per_sec);
       ladder.add_row({std::to_string(threads),
@@ -205,6 +207,8 @@ int main() {
                       std::to_string(bb.best_cost),
                       format_double(100.0 * bb.gap(), 2) + "%",
                       format_double(nodes_per_sec, 0),
+                      std::to_string(bb.balances),
+                      std::to_string(bb.term_memo_hits),
                       format_double(secs, 3)});
     }
     ladder.print(std::cout);

@@ -13,6 +13,7 @@
 #include "core/cas_generator.hpp"
 #include "core/config_protocol.hpp"
 #include "core/test_bus.hpp"
+#include "explore/branch_bound.hpp"
 #include "explore/soc_generator.hpp"
 #include "netlist/faultsim.hpp"
 #include "netlist/gatesim.hpp"
@@ -473,9 +474,30 @@ void BM_GreedySchedule(benchmark::State& state) {
   }
   state.counters["probes"] = static_cast<double>(stats.nodes_expanded);
   state.counters["prunes"] = static_cast<double>(stats.prunes);
-  state.counters["balances"] = static_cast<double>(stats.leaves_priced);
+  state.counters["balances"] = static_cast<double>(stats.balances);
 }
 BENCHMARK(BM_GreedySchedule);
+
+/// Branch and bound at explorer scale: the 1000-core bist_heavy SoC
+/// (SocGenerator seed 1) on a 64-wire bus, default budget, one thread —
+/// the sweep point whose seed, dives and BIST slotting balance most.
+/// Generation is hoisted out of the loop. The counters are the search's
+/// balances and the scan terms its memo answered.
+void BM_BranchBound1000(benchmark::State& state) {
+  const explore::GeneratedSoc soc =
+      explore::SocGenerator(1).generate(1000, explore::SocProfile::BistHeavy);
+  const sched::SessionScheduler s(soc.cores, 64);
+  explore::BranchBoundConfig config;
+  config.threads = 1;
+  explore::BranchBoundResult result;
+  for (auto _ : state) {
+    result = explore::BranchBoundScheduler(s, config).run();
+    benchmark::DoNotOptimize(result.best_cost);
+  }
+  state.counters["balances"] = static_cast<double>(result.balances);
+  state.counters["memo_hits"] = static_cast<double>(result.term_memo_hits);
+}
+BENCHMARK(BM_BranchBound1000);
 
 /// One grouped chain balance (LPT pass; the polish stops at 96 items) of
 /// every scan chain of the 1000-core mixed SoC on a 32-wire bus — the

@@ -66,6 +66,7 @@ struct ItemResult {
   std::uint64_t prunes = 0;
   Offer leaf;  ///< set for kLeaf items
   Offer dive;  ///< set when RoundItem::dive
+  sched::ScanTerms terms;  ///< pricing effort, terms new to the memo
 };
 
 class Search {
@@ -207,10 +208,31 @@ class Search {
     }
   }
 
+  /// Prices a complete partition, reading scan terms from the memo (the
+  /// round-start state while workers run) and recording the rest in
+  /// \p terms.
+  std::uint64_t price(const std::vector<std::vector<std::size_t>>& groups,
+                      sched::ScanTerms& terms,
+                      std::vector<sched::ScheduledSession>* sessions =
+                          nullptr) const {
+    terms.known = &memo_;
+    return price_scan_partition(scheduler_, groups, bist_, sessions, &terms);
+  }
+
+  /// Adds a pricing's effort to the counters and its terms to the memo
+  /// (serial: seeds, the merge phase and the final re-price).
+  void absorb(const sched::ScanTerms& terms) {
+    memo_.absorb(terms.learned);
+    balances_ += terms.balances;
+    memo_hits_ += terms.memo_hits;
+  }
+
   /// Prices + offers a complete partition (serial seeding path).
   void seed(std::vector<std::vector<std::size_t>> groups) {
+    sched::ScanTerms terms;
     Offer o;
-    o.total = price_scan_partition(scheduler_, groups, bist_);
+    o.total = price(groups, terms);
+    absorb(terms);
     o.groups = std::move(groups);
     apply_offer(std::move(o));
   }
@@ -290,6 +312,13 @@ class Search {
   std::uint64_t prunes_ = 0;
   std::uint64_t improvements_ = 0;
   std::uint64_t dives_ = 0;
+  std::uint64_t balances_ = 0;
+  std::uint64_t memo_hits_ = 0;
+
+  /// Scan terms of every group priced so far: on 1000-core SoCs it
+  /// answers about a third of the terms the dives and the final re-price
+  /// need. Freed with the search.
+  sched::ScanTermMemo memo_;
 };
 
 void Search::price_leaf(const RoundItem& item, ItemResult& r) {
@@ -297,7 +326,7 @@ void Search::price_leaf(const RoundItem& item, ItemResult& r) {
   std::vector<std::vector<std::size_t>> groups(arena_[item.id].groups_used);
   for (std::size_t i = 0; i < leaf_groups.size(); ++i)
     groups[leaf_groups[i]].push_back(scan_[i]);
-  r.leaf.total = price_scan_partition(scheduler_, groups, bist_);
+  r.leaf.total = price(groups, r.terms);
   r.leaf.groups = std::move(groups);
   if (!config_.deterministic) publish(r.leaf.total);
 }
@@ -350,7 +379,7 @@ void Search::expand(const RoundItem& item, ItemResult& r) const {
 void Search::run_dive(const RoundItem& item, ItemResult& r) {
   std::vector<std::vector<std::size_t>> groups =
       complete_greedily(assignment_of(item.id), arena_[item.id].groups_used);
-  r.dive.total = price_scan_partition(scheduler_, groups, bist_);
+  r.dive.total = price(groups, r.terms);
   r.dive.groups = std::move(groups);
   if (!config_.deterministic) publish(r.dive.total);
 }
@@ -398,6 +427,7 @@ void Search::merge_round(BranchBoundResult& result) {
   for (std::size_t i = 0; i < batch_.size(); ++i) {
     const RoundItem& item = batch_[i];
     ItemResult& r = results_[i];
+    absorb(r.terms);
     if (item.kind == ItemKind::kLeaf) {
       ++result.leaves_priced;
       apply_offer(std::move(r.leaf));
@@ -464,7 +494,9 @@ BranchBoundResult Search::run() {
   seed(complete_greedily({}, 0));
   dives_ = 1;
   if (scan_.size() <= 24) {
-    seed(sched::greedy_scan_groups(scheduler_));
+    sched::ScheduleStats greedy;
+    seed(sched::greedy_scan_groups(scheduler_, &greedy));
+    balances_ += greedy.balances;
     seed({scan_});  // single session
     std::vector<std::vector<std::size_t>> per_core;
     for (const std::size_t c : scan_) per_core.push_back({c});
@@ -548,9 +580,12 @@ BranchBoundResult Search::run() {
       result.optimal ? best_total_ : std::min(best_total_, frontier_bound);
 
   std::vector<sched::ScheduledSession> sessions;
-  result.schedule.total_cycles =
-      price_scan_partition(scheduler_, best_groups_, bist_, &sessions);
+  sched::ScanTerms terms;
+  result.schedule.total_cycles = price(best_groups_, terms, &sessions);
+  absorb(terms);
   result.schedule.sessions = std::move(sessions);
+  result.balances = balances_;
+  result.term_memo_hits = memo_hits_;
   return result;
 }
 

@@ -95,6 +95,13 @@ struct BranchBoundResult {
   /// Round boundaries at which an empty frontier shard stole open nodes
   /// from the fullest one (parallel search telemetry).
   std::uint64_t rebalances = 0;
+  /// Chain balances the search ran: seeds, leaves, dives and the final
+  /// incumbent re-price.
+  std::uint64_t balances = 0;
+  /// Scan terms those pricings read from the search's memo of earlier
+  /// groups instead of balancing. Like every counter, identical at any
+  /// thread count in deterministic mode.
+  std::uint64_t term_memo_hits = 0;
   bool optimal = false;  ///< search space exhausted within the budget
 
   /// Proven optimality gap: incumbent / lower_bound − 1 (0 when optimal).

@@ -172,21 +172,79 @@ CoreSlots core_slots(const std::vector<ChainItem>& items) {
 
 }  // namespace
 
-Balance assign_lpt_grouped(const std::vector<ChainItem>& items,
-                           unsigned wires) {
+ChainSet::ChainSet(const std::vector<ChainItem>& items) {
+  CASBUS_REQUIRE(items.size() < UINT32_MAX, "ChainSet: too many chains");
+  const CoreSlots cores = core_slots(items);
+  per_slot_ = cores.chains;
+  chains_.reserve(items.size());
+  for (const std::uint64_t i : lpt_order(items)) {
+    chains_.push_back(Chain{items[i].length, static_cast<std::uint32_t>(i),
+                            cores.slot_of_item[i]});
+    total_ += items[i].length;
+  }
+}
+
+ChainSet ChainSet::merged(const ChainSet& tail) const {
+  CASBUS_REQUIRE(size() + tail.size() < UINT32_MAX,
+                 "ChainSet: too many chains");
+  const auto n = static_cast<std::uint32_t>(size());
+  const auto slots = static_cast<std::uint32_t>(per_slot_.size());
+  ChainSet out;
+  out.chains_.reserve(size() + tail.size());
+  auto a = chains_.begin();
+  auto b = tail.chains_.begin();
+  while (a != chains_.end() || b != tail.chains_.end()) {
+    // On equal lengths this set's chain goes first: its insertion index
+    // is lower than every tail chain's.
+    if (b == tail.chains_.end() ||
+        (a != chains_.end() && a->length >= b->length)) {
+      out.chains_.push_back(*a++);
+    } else {
+      out.chains_.push_back(Chain{b->length, b->index + n, b->slot + slots});
+      ++b;
+    }
+  }
+  out.per_slot_ = per_slot_;
+  out.per_slot_.insert(out.per_slot_.end(), tail.per_slot_.begin(),
+                       tail.per_slot_.end());
+  out.total_ = total_ + tail.total_;
+  return out;
+}
+
+ChainSet ChainSet::suffix(std::size_t first) const {
+  // Dropping items keeps the survivors' relative LPT order; only the
+  // slots are renumbered, so that retired cores leave no empty slots.
+  ChainSet out;
+  out.chains_.reserve(size() - std::min(first, size()));
+  std::vector<std::uint32_t> slot_of(per_slot_.size(), UINT32_MAX);
+  for (const Chain& c : chains_) {
+    if (c.index < first) continue;
+    std::uint32_t& slot = slot_of[c.slot];
+    if (slot == UINT32_MAX) {
+      slot = static_cast<std::uint32_t>(out.per_slot_.size());
+      out.per_slot_.push_back(0);
+    }
+    ++out.per_slot_[slot];
+    out.chains_.push_back(
+        Chain{c.length, static_cast<std::uint32_t>(c.index - first), slot});
+    out.total_ += c.length;
+  }
+  return out;
+}
+
+std::vector<std::size_t> ChainSet::place(
+    unsigned wires, std::vector<unsigned>* wire_of_item) const {
   CASBUS_REQUIRE(wires >= 1, "assign_lpt_grouped: need at least one wire");
-  Balance b;
-  b.wire_of_item.assign(items.size(), 0);
-  b.wire_load.assign(wires, 0);
+  std::vector<std::size_t> wire_load(wires, 0);
+  if (wire_of_item != nullptr) wire_of_item->assign(size(), 0);
   if (wires == 1) {  // every core is relaxed or has one chain: all on wire 0
-    for (const ChainItem& it : items) b.wire_load[0] += it.length;
-    return b;
+    wire_load[0] = total_;
+    return wire_load;
   }
 
-  const CoreSlots cores = core_slots(items);
   const std::size_t words = (wires + 63) / 64;
-  std::vector<std::uint64_t> taken(cores.chains.size() * words, 0);
-  std::vector<std::size_t> unplaced = cores.chains;
+  std::vector<std::uint64_t> taken(per_slot_.size() * words, 0);
+  std::vector<std::size_t> unplaced = per_slot_;
 
   struct WireLoad {
     std::size_t load;
@@ -200,72 +258,87 @@ Balance assign_lpt_grouped(const std::vector<ChainItem>& items,
   std::vector<WireLoad> by_load(wires);
   for (unsigned k = 0; k < wires; ++k) by_load[k] = {0, k};
 
-  for (const std::uint64_t i : lpt_order(items)) {
-    const std::uint32_t slot = cores.slot_of_item[i];
-    --unplaced[slot];
+  for (const Chain& c : chains_) {
+    --unplaced[c.slot];
     std::size_t pos = 0;
     // Relaxed when the core overflows the bus (wrapper concatenation).
-    if (cores.chains[slot] <= wires) {
+    if (per_slot_[c.slot] <= wires) {
       // A wire is blocked when a placed sibling holds it. Unplaced
       // siblings still sit on wire 0, so wire 0 is blocked too until this
       // is the core's last chain to be placed. Every other sibling blocks
       // at most one wire (chains - 1 in all) and chains <= wires, so some
       // wire is always free.
-      std::uint64_t* held = &taken[slot * words];
+      std::uint64_t* held = &taken[c.slot * words];
       for (; pos < wires; ++pos) {
         const unsigned w = by_load[pos].wire;
         if ((held[w / 64] >> (w % 64) & 1) == 0 &&
-            (w != 0 || unplaced[slot] == 0))
+            (w != 0 || unplaced[c.slot] == 0))
           break;
       }
       CASBUS_REQUIRE(pos < wires, "assign_lpt_grouped: no free wire");
       const unsigned w = by_load[pos].wire;
       held[w / 64] |= std::uint64_t{1} << (w % 64);
     }
-    const WireLoad moved{by_load[pos].load + items[i].length,
-                         by_load[pos].wire};
-    b.wire_of_item[i] = moved.wire;
-    // Re-sort: the grown wire tends to land nearer the heavy end, so look
-    // for its place from there, then shift the lighter wires forward.
-    std::size_t to = wires;
-    while (to > pos + 1 && moved < by_load[to - 1]) --to;
-    std::move(by_load.begin() + static_cast<std::ptrdiff_t>(pos + 1),
-              by_load.begin() + static_cast<std::ptrdiff_t>(to),
+    const WireLoad moved{by_load[pos].load + c.length, by_load[pos].wire};
+    if (wire_of_item != nullptr) (*wire_of_item)[c.index] = moved.wire;
+    // Re-sort: binary-search the grown wire's place among the heavier
+    // wires, then shift the lighter ones forward.
+    const auto to = std::upper_bound(
+        by_load.begin() + static_cast<std::ptrdiff_t>(pos + 1), by_load.end(),
+        moved);
+    std::move(by_load.begin() + static_cast<std::ptrdiff_t>(pos + 1), to,
               by_load.begin() + static_cast<std::ptrdiff_t>(pos));
-    by_load[to - 1] = moved;
+    *(to - 1) = moved;
   }
-  for (const WireLoad& wl : by_load) b.wire_load[wl.wire] = wl.load;
+  for (const WireLoad& wl : by_load) wire_load[wl.wire] = wl.load;
+  return wire_load;
+}
+
+Balance ChainSet::grouped(unsigned wires) const {
+  Balance b;
+  b.wire_load = place(wires, &b.wire_of_item);
   return b;
 }
 
-Balance assign_lpt_grouped_refined(const std::vector<ChainItem>& items,
-                                   unsigned wires) {
-  Balance b = assign_lpt_grouped(items, wires);
-  if (items.empty()) return b;
+// The move/swap polish costs O(items * wires + items^2) per round; past
+// this size the LPT 4/3 guarantee stands alone. Only the synthetic
+// 100–1000-core sessions of src/explore ever cross the limit — every
+// physical session in the tree stays far below it (the largest legacy
+// user balances ~20 chains). The limit stays at 96 although the polish is
+// now cheap: raising it would change explore schedules.
+constexpr std::size_t kRefineItemLimit = 96;
 
-  // The move/swap polish below costs O(items * wires + items^2) per round;
-  // past this size the LPT 4/3 guarantee stands alone. Only the synthetic
-  // 100–1000-core sessions of src/explore ever cross the limit — every
-  // physical session in the tree stays far below it (the largest legacy
-  // user balances ~20 chains). The limit stays at 96 although the polish
-  // is now cheap: raising it would change explore schedules.
-  constexpr std::size_t kRefineItemLimit = 96;
-  if (items.size() > kRefineItemLimit) return b;
+std::size_t ChainSet::refined_max_load(unsigned wires) const {
+  if (size() <= kRefineItemLimit) return refined(wires).max_load();
+  const std::vector<std::size_t> load = place(wires, nullptr);
+  return *std::max_element(load.begin(), load.end());
+}
 
-  const CoreSlots cores = core_slots(items);
+Balance ChainSet::refined(unsigned wires) const {
+  Balance b = grouped(wires);
+  if (chains_.empty() || size() > kRefineItemLimit) return b;
+
+  // The polish walks items in insertion order.
+  const std::size_t n = size();
+  std::vector<std::size_t> length(n);
+  std::vector<std::uint32_t> slot_of(n);
+  for (const Chain& c : chains_) {
+    length[c.index] = c.length;
+    slot_of[c.index] = c.slot;
+  }
   // held[slot * wires + w] counts the core's items on wire w. A relaxed
   // core (more chains than wires) is never checked.
-  std::vector<std::uint32_t> held(cores.chains.size() * wires, 0);
-  for (std::size_t i = 0; i < items.size(); ++i)
-    ++held[cores.slot_of_item[i] * std::size_t{wires} + b.wire_of_item[i]];
+  std::vector<std::uint32_t> held(per_slot_.size() * wires, 0);
+  for (std::size_t i = 0; i < n; ++i)
+    ++held[slot_of[i] * std::size_t{wires} + b.wire_of_item[i]];
   const auto free_for = [&](std::size_t i, unsigned wire,
                             std::uint32_t discount) {
-    const std::uint32_t slot = cores.slot_of_item[i];
-    return cores.chains[slot] > wires ||
+    const std::uint32_t slot = slot_of[i];
+    return per_slot_[slot] > wires ||
            held[slot * std::size_t{wires} + wire] - discount == 0;
   };
-  const auto place = [&](std::size_t i, unsigned wire) {
-    const std::size_t row = cores.slot_of_item[i] * std::size_t{wires};
+  const auto move_to = [&](std::size_t i, unsigned wire) {
+    const std::size_t row = slot_of[i] * std::size_t{wires};
     --held[row + b.wire_of_item[i]];
     ++held[row + wire];
     b.wire_of_item[i] = wire;
@@ -276,15 +349,15 @@ Balance assign_lpt_grouped_refined(const std::vector<ChainItem>& items,
     improved = false;
     const std::size_t before = b.max_load();
     // Constraint-preserving moves off a maximal wire.
-    for (std::size_t i = 0; i < items.size() && !improved; ++i) {
+    for (std::size_t i = 0; i < n && !improved; ++i) {
       const unsigned src = b.wire_of_item[i];
       if (b.wire_load[src] != before) continue;
       for (unsigned dst = 0; dst < wires; ++dst) {
         if (dst == src || !free_for(i, dst, 0)) continue;
-        if (b.wire_load[dst] + items[i].length < before) {
-          b.wire_load[src] -= items[i].length;
-          b.wire_load[dst] += items[i].length;
-          place(i, dst);
+        if (b.wire_load[dst] + length[i] < before) {
+          b.wire_load[src] -= length[i];
+          b.wire_load[dst] += length[i];
+          move_to(i, dst);
           improved = true;
           break;
         }
@@ -292,26 +365,35 @@ Balance assign_lpt_grouped_refined(const std::vector<ChainItem>& items,
     }
     // Constraint-preserving swaps: after the swap j no longer holds wj
     // (nor i wi), so a same-core partner is discounted from the count.
-    for (std::size_t i = 0; i < items.size() && !improved; ++i) {
+    for (std::size_t i = 0; i < n && !improved; ++i) {
       const unsigned wi = b.wire_of_item[i];
       if (b.wire_load[wi] != before) continue;
-      for (std::size_t j = 0; j < items.size() && !improved; ++j) {
+      for (std::size_t j = 0; j < n && !improved; ++j) {
         const unsigned wj = b.wire_of_item[j];
-        if (wj == wi || items[j].length >= items[i].length) continue;
-        const std::size_t delta = items[i].length - items[j].length;
+        if (wj == wi || length[j] >= length[i]) continue;
+        const std::size_t delta = length[i] - length[j];
         if (b.wire_load[wj] + delta >= before) continue;
-        const std::uint32_t same =
-            cores.slot_of_item[i] == cores.slot_of_item[j] ? 1 : 0;
+        const std::uint32_t same = slot_of[i] == slot_of[j] ? 1 : 0;
         if (!free_for(i, wj, same) || !free_for(j, wi, same)) continue;
         b.wire_load[wi] -= delta;
         b.wire_load[wj] += delta;
-        place(i, wj);
-        place(j, wi);
+        move_to(i, wj);
+        move_to(j, wi);
         improved = true;
       }
     }
   }
   return b;
+}
+
+Balance assign_lpt_grouped(const std::vector<ChainItem>& items,
+                           unsigned wires) {
+  return ChainSet(items).grouped(wires);
+}
+
+Balance assign_lpt_grouped_refined(const std::vector<ChainItem>& items,
+                                   unsigned wires) {
+  return ChainSet(items).refined(wires);
 }
 
 std::size_t balance_lower_bound(const std::vector<ChainItem>& items,

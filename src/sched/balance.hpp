@@ -61,10 +61,10 @@ Balance assign_lpt_refined(const std::vector<ChainItem>& items,
 /// core's unplaced chains count as sitting on wire 0, so a chain takes
 /// wire 0 only when it is the last of its core's chains to be placed.
 ///
-/// Cost: one O(items log items) sort, then per item a walk past the wires
-/// its core blocks (fewer than its chain count) and one shift of the
-/// load-sorted wire list (at most \p wires entries). With one wire every
-/// chain lands on it and nothing is sorted.
+/// Same as ChainSet(items).grouped(wires): one O(items log items) sort and
+/// one placement pass. Callers that balance one session at several wire
+/// counts, or a session that grows or shrinks by whole cores, keep the
+/// ChainSet and skip the sort.
 Balance assign_lpt_grouped(const std::vector<ChainItem>& items,
                            unsigned wires);
 
@@ -72,8 +72,64 @@ Balance assign_lpt_grouped(const std::vector<ChainItem>& items,
 /// improvement, O(items x wires + items^2) per round, each constraint check
 /// O(1)); the search runs only on sessions of at most 96 items. This is
 /// the placement the scheduler uses for physically executable sessions.
+/// Same as ChainSet(items).refined(wires).
 Balance assign_lpt_grouped_refined(const std::vector<ChainItem>& items,
                                    unsigned wires);
+
+/// A session's scan chains sorted once into LPT order — length descending,
+/// insertion order ascending on ties — each tagged with a dense per-core
+/// slot, plus the chain count of every slot. Placing a chain costs a walk
+/// past the wires its core blocks (fewer than its chain count), a binary
+/// search and one shift of the load-sorted wire list (at most \p wires
+/// entries); with one wire every chain lands on it.
+///
+/// A set is placed at any wire count without re-sorting, grows by a core
+/// in O(chains) (merged) and sheds retired cores in O(chains + cores)
+/// (suffix), so the schedulers sort a session's chains once: greedy
+/// probes merge the probing core into the group's set, BIST slotting
+/// prices one set at every wire count, and phased() cuts each phase's set
+/// out of the previous one.
+class ChainSet {
+ public:
+  ChainSet() = default;
+  /// One sort of \p items; insertion index i is items[i].
+  explicit ChainSet(const std::vector<ChainItem>& items);
+
+  [[nodiscard]] std::size_t size() const noexcept { return chains_.size(); }
+
+  /// The set of this set's items followed by \p tail's, i.e. of
+  /// items ++ tail_items. The two must hold disjoint cores. O(size +
+  /// tail.size() + cores), no sort.
+  [[nodiscard]] ChainSet merged(const ChainSet& tail) const;
+
+  /// The set of the items at insertion index >= \p first, renumbered from
+  /// 0, i.e. of items[first..]. O(size + cores), no sort.
+  [[nodiscard]] ChainSet suffix(std::size_t first) const;
+
+  /// assign_lpt_grouped of the items.
+  [[nodiscard]] Balance grouped(unsigned wires) const;
+  /// assign_lpt_grouped_refined of the items.
+  [[nodiscard]] Balance refined(unsigned wires) const;
+  /// refined(wires).max_load(); past the polish limit no per-item
+  /// assignment is built.
+  [[nodiscard]] std::size_t refined_max_load(unsigned wires) const;
+
+ private:
+  struct Chain {
+    std::size_t length = 0;
+    std::uint32_t index = 0;  ///< insertion index
+    std::uint32_t slot = 0;   ///< dense per-core number
+  };
+
+  /// The placement pass: per-wire loads; when \p wire_of_item is non-null
+  /// it receives each item's wire by insertion index.
+  std::vector<std::size_t> place(unsigned wires,
+                                 std::vector<unsigned>* wire_of_item) const;
+
+  std::vector<Chain> chains_;         ///< in LPT order
+  std::vector<std::size_t> per_slot_; ///< chain count of each slot
+  std::size_t total_ = 0;             ///< summed length
+};
 
 /// Lower bound on the achievable max load: max(ceil(total/wires), longest
 /// single chain).

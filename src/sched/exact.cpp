@@ -4,14 +4,43 @@
 #include <functional>
 
 #include "sched/lower_bound.hpp"
+#include "util/hash.hpp"
 
 namespace casbus::sched {
+
+std::size_t ScanTermMemo::Hash::operator()(
+    const std::vector<std::size_t>& v) const noexcept {
+  StableHash h;
+  for (const std::size_t x : v) h.mix(x);
+  return static_cast<std::size_t>(h.value());
+}
+
+const std::vector<std::uint64_t>* ScanTermMemo::find(
+    const std::vector<std::size_t>& group) const {
+  const auto it = terms_.find(group);
+  return it == terms_.end() ? nullptr : &it->second;
+}
+
+void ScanTermMemo::insert(const std::vector<std::size_t>& group,
+                          const std::vector<std::uint64_t>& terms) {
+  const auto [it, fresh] = terms_.try_emplace(group, terms);
+  if (fresh) return;
+  std::vector<std::uint64_t>& have = it->second;
+  CASBUS_REQUIRE(have.size() == terms.size(),
+                 "ScanTermMemo: terms of another bus width");
+  for (std::size_t k = 0; k < terms.size(); ++k)
+    if (have[k] == UINT64_MAX) have[k] = terms[k];
+}
+
+void ScanTermMemo::absorb(const ScanTermMemo& other) {
+  for (const auto& [group, terms] : other.terms_) insert(group, terms);
+}
 
 std::uint64_t price_scan_partition(
     const SessionScheduler& scheduler,
     const std::vector<std::vector<std::size_t>>& scan_groups,
     const std::vector<std::size_t>& bist_cores,
-    std::vector<ScheduledSession>* out_sessions) {
+    std::vector<ScheduledSession>* out_sessions, ScanTerms* terms) {
   const unsigned width = scheduler.width();
   const std::uint64_t config = scheduler.reconfig_cost();
   const std::vector<CoreTestSpec>& cores = scheduler.cores();
@@ -19,30 +48,48 @@ std::uint64_t price_scan_partition(
   // Per-group session state. The only way a co-tenant BIST engine changes
   // the scan term is by occupying wires, so scan terms are memoized per
   // (group, occupied-wire count) — the greedy slotting loop below then
-  // prices each geometry once instead of re-balancing per candidate.
+  // prices each geometry once instead of re-balancing per candidate. A
+  // group's chains are sorted once, on its first balance, for every wire
+  // count; a term the caller's memo holds needs neither.
   struct Group {
-    std::vector<ChainItem> items;
-    std::size_t patterns = 0;
+    GroupBound bound;  ///< patterns, and the balance lower bound
     std::vector<std::uint64_t> term;  ///< scan term at k BIST wires; lazy
+    const std::vector<std::uint64_t>* known = nullptr;  ///< memo row
+    ChainSet chains;
+    bool sorted = false;
+    bool learned = false;  ///< balanced a term the memo lacked
     std::uint64_t max_bist = 0;
     std::size_t n_bist = 0;
   };
   std::vector<Group> gs(scan_groups.size());
   for (std::size_t g = 0; g < scan_groups.size(); ++g) {
-    for (const std::size_t c : scan_groups[g]) {
-      for (std::size_t ch = 0; ch < cores[c].chains.size(); ++ch)
-        gs[g].items.push_back(ChainItem{c, ch, cores[c].chains[ch]});
-      gs[g].patterns = std::max(gs[g].patterns, cores[c].patterns);
-    }
+    for (const std::size_t c : scan_groups[g]) gs[g].bound.add(cores[c]);
     gs[g].term.assign(width, UINT64_MAX);
+    if (terms != nullptr && terms->known != nullptr)
+      gs[g].known = terms->known->find(scan_groups[g]);
   }
-  const auto scan_term = [&](Group& g, std::size_t k) {
-    if (g.term[k] == UINT64_MAX) {
-      const auto wires = static_cast<unsigned>(width - k);
-      g.term[k] = scan_cycles(
-          assign_lpt_grouped_refined(g.items, wires).max_load(), g.patterns);
+  std::uint64_t balances = 0;
+  const auto scan_term = [&](std::size_t g, std::size_t k) {
+    Group& group = gs[g];
+    if (group.term[k] != UINT64_MAX) return group.term[k];
+    if (group.known != nullptr && k < group.known->size() &&
+        (*group.known)[k] != UINT64_MAX) {
+      ++terms->memo_hits;
+      return group.term[k] = (*group.known)[k];
     }
-    return g.term[k];
+    if (!group.sorted) {
+      std::vector<ChainItem> items;
+      for (const std::size_t c : scan_groups[g])
+        for (std::size_t ch = 0; ch < cores[c].chains.size(); ++ch)
+          items.push_back(ChainItem{c, ch, cores[c].chains[ch]});
+      group.chains = ChainSet(items);
+      group.sorted = true;
+    }
+    ++balances;
+    group.learned = true;
+    const auto wires = static_cast<unsigned>(width - k);
+    return group.term[k] = scan_cycles(group.chains.refined_max_load(wires),
+                                       group.bound.max_patterns);
   };
 
   // Greedy BIST slotting — this is SessionScheduler::greedy's BIST phase:
@@ -51,17 +98,31 @@ std::uint64_t price_scan_partition(
   std::vector<std::vector<std::size_t>> group_bist(scan_groups.size());
   std::vector<std::size_t> extra;
   for (const std::size_t core : bist_cores) {
-    const std::uint64_t standalone = cores[core].bist_cycles + config;
+    const std::uint64_t engine = cores[core].bist_cycles;
+    const std::uint64_t standalone = engine + config;
     std::size_t best_group = scan_groups.size();
     std::uint64_t best_delta = standalone;
     for (std::size_t g = 0; g < scan_groups.size(); ++g) {
-      if (gs[g].n_bist + 1 >= width) continue;  // keep 1 scan wire
+      Group& group = gs[g];
+      if (group.n_bist + 1 >= width) continue;  // keep 1 scan wire
       const std::uint64_t t_without =
-          std::max(scan_term(gs[g], gs[g].n_bist), gs[g].max_bist) + config;
-      const std::uint64_t t_with =
-          std::max(scan_term(gs[g], gs[g].n_bist + 1),
-                   std::max(gs[g].max_bist, cores[core].bist_cycles)) +
+          std::max(scan_term(g, group.n_bist), group.max_bist) + config;
+      const std::uint64_t bist_with = std::max(group.max_bist, engine);
+      // Exact reject without balancing: t_with >= lbw, so once lbw lies
+      // best_delta or more above t_without the group cannot win. Below
+      // t_without the bound says nothing, as t_with - t_without may wrap.
+      const std::uint64_t lbw =
+          std::max(group.bound.scan_lower_bound(static_cast<unsigned>(
+                       width - group.n_bist - 1)),
+                   bist_with) +
           config;
+      if (lbw >= t_without && lbw - t_without >= best_delta) continue;
+      const std::uint64_t t_with =
+          std::max(scan_term(g, group.n_bist + 1), bist_with) + config;
+      // Unsigned on purpose, and it decides schedules: when the engine's
+      // wire *lowers* the grouped-LPT scan term (t_with < t_without), the
+      // delta wraps to a huge value and the group is never chosen. Making
+      // it signed changes schedules and digests (see ROADMAP).
       if (t_with - t_without < best_delta) {
         best_delta = t_with - t_without;
         best_group = g;
@@ -70,8 +131,7 @@ std::uint64_t price_scan_partition(
     if (best_group < scan_groups.size()) {
       group_bist[best_group].push_back(core);
       gs[best_group].n_bist += 1;
-      gs[best_group].max_bist =
-          std::max(gs[best_group].max_bist, cores[core].bist_cycles);
+      gs[best_group].max_bist = std::max(gs[best_group].max_bist, engine);
     } else {
       extra.push_back(core);
     }
@@ -80,15 +140,22 @@ std::uint64_t price_scan_partition(
   std::uint64_t total = 0;
   if (out_sessions != nullptr) out_sessions->clear();
   for (std::size_t g = 0; g < scan_groups.size(); ++g) {
-    total += std::max(scan_term(gs[g], gs[g].n_bist), gs[g].max_bist) + config;
-    if (out_sessions != nullptr)
+    total += std::max(scan_term(g, gs[g].n_bist), gs[g].max_bist) + config;
+    if (out_sessions != nullptr) {
       out_sessions->push_back(
           scheduler.price_session(scan_groups[g], group_bist[g]));
+      ++balances;
+    }
   }
   for (const std::size_t core : extra) {
     total += cores[core].bist_cycles + config;
     if (out_sessions != nullptr)
       out_sessions->push_back(scheduler.price_session({}, {core}));
+  }
+  if (terms != nullptr) {
+    terms->balances += balances;
+    for (std::size_t g = 0; g < scan_groups.size(); ++g)
+      if (gs[g].learned) terms->learned.insert(scan_groups[g], gs[g].term);
   }
   return total;
 }
@@ -114,27 +181,29 @@ std::vector<std::vector<std::size_t>> greedy_scan_groups(
   // changes only when a core joins), t_alone is balanced once per core,
   // and a probe whose balance lower bound exceeds the budget is rejected
   // unbalanced — exactly, as no placement beats max(longest chain,
-  // ceil(bits / wires)) and scan_cycles is monotone in the load.
+  // ceil(bits / wires)) and scan_cycles is monotone in the load. Each
+  // group keeps its chains sorted, so a probe merges the core's chains in
+  // instead of sorting the joint session.
+  ScheduleStats effort;
   struct Group {
-    std::vector<ChainItem> items;  ///< in price_session's order
+    ChainSet chains;  ///< of the items in price_session's order
     GroupBound bound;
     std::uint64_t cost = 0;
   };
-  const auto cost_of = [&](const std::vector<ChainItem>& items,
-                           std::size_t patterns) {
-    return scan_cycles(assign_lpt_grouped_refined(items, width).max_load(),
-                       patterns) +
-           config;
+  const auto cost_of = [&](const ChainSet& chains, std::size_t patterns) {
+    ++effort.balances;
+    return scan_cycles(chains.refined_max_load(width), patterns) + config;
   };
   std::vector<std::vector<std::size_t>> groups;
   std::vector<Group> state;
-  ScheduleStats effort;
   for (const std::size_t core : order) {
     Group alone;
+    std::vector<ChainItem> items;
     for (std::size_t ch = 0; ch < cores[core].chains.size(); ++ch)
-      alone.items.push_back(ChainItem{core, ch, cores[core].chains[ch]});
+      items.push_back(ChainItem{core, ch, cores[core].chains[ch]});
+    alone.chains = ChainSet(items);
     alone.bound.add(cores[core]);
-    alone.cost = cost_of(alone.items, cores[core].patterns);
+    alone.cost = cost_of(alone.chains, cores[core].patterns);
     std::size_t g = 0;
     for (; g < groups.size(); ++g) {
       ++effort.nodes_expanded;
@@ -147,16 +216,15 @@ std::vector<std::vector<std::size_t>> greedy_scan_groups(
         continue;
       }
       ++effort.leaves_priced;
-      const std::size_t n_items = group.items.size();
-      group.items.insert(group.items.end(), alone.items.begin(),
-                         alone.items.end());
-      const std::uint64_t t_with = cost_of(group.items, joint.max_patterns);
+      // The probing core's chains follow the group's, as in price_session.
+      ChainSet joint_chains = group.chains.merged(alone.chains);
+      const std::uint64_t t_with = cost_of(joint_chains, joint.max_patterns);
       if (t_with <= budget) {
+        group.chains = std::move(joint_chains);
         group.bound = joint;
         group.cost = t_with;
         break;
       }
-      group.items.resize(n_items);
     }
     if (g == groups.size()) {
       groups.emplace_back();

@@ -14,6 +14,8 @@
 
 #pragma once
 
+#include <unordered_map>
+
 #include "sched/scheduler.hpp"
 
 namespace casbus::sched {
@@ -32,6 +34,44 @@ struct ExactResult {
   double heuristic_gap = 0.0;
 };
 
+/// Scan terms of priced session groups, kept across the
+/// price_scan_partition calls of one search: for a group (its scan cores,
+/// in the order the caller lists them) and k BIST wires, the group's scan
+/// term — scan_cycles of its refined balance on width - k wires. The terms
+/// are a pure function of the key for one SessionScheduler, so a memo
+/// serves one scheduler and only ever saves balances.
+class ScanTermMemo {
+ public:
+  /// The group's terms indexed by k (UINT64_MAX where unknown), or
+  /// nullptr when the memo holds none.
+  [[nodiscard]] const std::vector<std::uint64_t>* find(
+      const std::vector<std::size_t>& group) const;
+  /// Adds every term of \p terms the memo lacks for \p group.
+  void insert(const std::vector<std::size_t>& group,
+              const std::vector<std::uint64_t>& terms);
+  /// insert() of every group \p other holds.
+  void absorb(const ScanTermMemo& other);
+
+ private:
+  struct Hash {
+    std::size_t operator()(const std::vector<std::size_t>& v) const noexcept;
+  };
+  std::unordered_map<std::vector<std::size_t>, std::vector<std::uint64_t>,
+                     Hash>
+      terms_;
+};
+
+/// A price_scan_partition call's use of a ScanTermMemo, and its effort.
+/// The call only reads \p known, so concurrent calls may share one; the
+/// terms it balanced and \p known lacked land in \p learned, for the
+/// caller to absorb.
+struct ScanTerms {
+  const ScanTermMemo* known = nullptr;
+  ScanTermMemo learned;
+  std::uint64_t balances = 0;   ///< refined balances run
+  std::uint64_t memo_hits = 0;  ///< scan terms read from \p known
+};
+
 /// Prices one complete scan partition: each group becomes a session, then
 /// BIST cores are slotted greedily into whichever session's total grows
 /// least (one wire each, overflow gets dedicated sessions). This is
@@ -39,11 +79,14 @@ struct ExactResult {
 /// exact_schedule and explore::BranchBoundScheduler, so searches over scan
 /// partitions stay cost-consistent with the heuristic by construction.
 /// When \p out_sessions is non-null it receives the fully priced sessions.
+/// A non-null \p terms counts the balances run (the out_sessions ones
+/// included) and, when its \p known is set, reads scan terms from it.
 std::uint64_t price_scan_partition(
     const SessionScheduler& scheduler,
     const std::vector<std::vector<std::size_t>>& scan_groups,
     const std::vector<std::size_t>& bist_cores,
-    std::vector<ScheduledSession>* out_sessions = nullptr);
+    std::vector<ScheduledSession>* out_sessions = nullptr,
+    ScanTerms* terms = nullptr);
 
 /// The scan phase of SessionScheduler::greedy: its scan-core groups, in
 /// session order. Also the shared incumbent seed of exact_schedule and

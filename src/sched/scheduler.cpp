@@ -63,6 +63,7 @@ Schedule SessionScheduler::schedule_with(Strategy s, ScheduleStats* stats,
         stats->prunes = result.prunes;
         stats->incumbent_improvements = result.incumbent_improvements;
         stats->leaves_priced = result.leaves_priced;
+        stats->balances = result.balances;
       }
       return result.schedule;
     }
@@ -213,6 +214,16 @@ Schedule SessionScheduler::phased() const {
     return cores_[a].patterns < cores_[b].patterns;
   });
 
+  // Every scan chain in phase order, sorted once: a phase's session holds
+  // the chains of its active cores, a suffix of these items, so each
+  // phase's chain set is cut from the previous one without re-sorting.
+  std::vector<ChainItem> all_items;
+  for (const std::size_t c : scan)
+    for (std::size_t ch = 0; ch < cores_[c].chains.size(); ++ch)
+      all_items.push_back(ChainItem{c, ch, cores_[c].chains[ch]});
+  ChainSet chains(all_items);
+  std::size_t first_item = 0;  ///< of the active cores' chains
+
   std::uint64_t scan_time = 0;
   std::size_t done_patterns = 0;
   std::size_t cursor = 0;
@@ -220,11 +231,9 @@ Schedule SessionScheduler::phased() const {
   while (cursor < scan.size()) {
     // Active set: every core not yet retired.
     const std::size_t v_target = cores_[scan[cursor]].patterns;
-    std::vector<std::size_t> active(scan.begin() +
-                                        static_cast<std::ptrdiff_t>(cursor),
-                                    scan.end());
     ScheduledSession session;
-    session.scan_cores = active;
+    session.scan_cores.assign(
+        scan.begin() + static_cast<std::ptrdiff_t>(cursor), scan.end());
     if (first_phase) {
       for (std::size_t i = 0; i < resident_bist; ++i)
         session.bist_cores.push_back(bist[i]);
@@ -233,10 +242,10 @@ Schedule SessionScheduler::phased() const {
     }
     session.config_cycles = reconfig_cost();
 
-    for (const std::size_t c : active)
-      for (std::size_t ch = 0; ch < cores_[c].chains.size(); ++ch)
-        session.items.push_back(ChainItem{c, ch, cores_[c].chains[ch]});
-    session.balance = assign_lpt_grouped_refined(session.items, scan_wires);
+    session.items.assign(
+        all_items.begin() + static_cast<std::ptrdiff_t>(first_item),
+        all_items.end());
+    session.balance = chains.refined(scan_wires);
     const std::size_t load = session.balance.max_load();
     const std::size_t dv = v_target - done_patterns;
     session.patterns_applied = dv;
@@ -245,9 +254,12 @@ Schedule SessionScheduler::phased() const {
     sched.sessions.push_back(std::move(session));
 
     done_patterns = v_target;
+    std::size_t retired = 0;
     while (cursor < scan.size() &&
            cores_[scan[cursor]].patterns == v_target)
-      ++cursor;
+      retired += cores_[scan[cursor++]].chains.size();
+    if (cursor < scan.size()) chains = chains.suffix(retired);
+    first_item += retired;
   }
 
   sched.bist_spans_sessions = resident_bist > 0;
@@ -351,9 +363,14 @@ Schedule SessionScheduler::greedy(ScheduleStats* stats) const {
   std::vector<std::size_t> bist;
   for (std::size_t i = 0; i < cores_.size(); ++i)
     if (!cores_[i].is_scan()) bist.push_back(i);
+  ScheduleStats effort;
+  ScanTerms terms;
   Schedule sched;
   sched.total_cycles = price_scan_partition(
-      *this, greedy_scan_groups(*this, stats), bist, &sched.sessions);
+      *this, greedy_scan_groups(*this, &effort), bist, &sched.sessions,
+      &terms);
+  effort.balances += terms.balances;
+  if (stats != nullptr) *stats = effort;
   return sched;
 }
 

@@ -21,18 +21,20 @@
 namespace casbus::sched {
 
 /// Effort counters a strategy can report through schedule_with()'s
-/// optional out-param. Strategy::BranchBound fills all four with its
-/// search effort. Strategy::Greedy fills three with its scan-phase effort:
-/// nodes_expanded = (core, group) probes, prunes = probes rejected by the
-/// balance bound without balancing, leaves_priced = probes that ran a full
-/// balance (the one dedicated-session balance per scan core is not
-/// counted). The other heuristics leave the zeros. Pure observability: the
-/// counters never influence the schedule.
+/// optional out-param. Strategy::BranchBound fills all five with its
+/// search effort. Strategy::Greedy fills four: nodes_expanded = (core,
+/// group) probes, prunes = probes rejected by the balance bound without
+/// balancing, leaves_priced = probes that ran a full balance (the one
+/// dedicated-session balance per scan core is not counted), balances =
+/// every chain balance it ran (those dedicated-session ones, the probes,
+/// BIST slotting and the final sessions). The other heuristics leave the
+/// zeros. Pure observability: the counters never influence the schedule.
 struct ScheduleStats {
   std::uint64_t nodes_expanded = 0;          ///< B&B nodes / greedy probes
   std::uint64_t prunes = 0;                  ///< cut by the lower bound
   std::uint64_t incumbent_improvements = 0;  ///< times the best improved
   std::uint64_t leaves_priced = 0;  ///< B&B partitions / probes balanced
+  std::uint64_t balances = 0;       ///< chain balances run
 };
 
 /// Named scheduling strategies, so callers that select a strategy at run

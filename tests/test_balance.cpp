@@ -3,7 +3,8 @@
 // they replaced — wire_of_item and wire_load, field for field — on random
 // item sets that cross the 96-item polish limit, span more than one 64-bit
 // word of wires, relax overflowing cores, tie lengths, scatter and
-// interleave core ids and need the 64-bit sort path.
+// interleave core ids and need the 64-bit sort path. Chain sets built by
+// one sort, by merges and by suffix cuts must place the same way.
 
 #include <algorithm>
 #include <cstdint>
@@ -286,6 +287,135 @@ TEST(Balance, MatchesReferenceOnSmallPolishedSets) {
     failures += compare(assign_lpt_grouped_refined(items, wires),
                         ref_assign_lpt_grouped_refined(items, wires),
                         "trial " + std::to_string(trial));
+  }
+  EXPECT_EQ(failures, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Chain sets: one sort, then placement at any wire count, merges (the
+// greedy probe pattern) and suffixes (the phased pattern) — each must equal
+// the reference balance of the item list it stands for, field for field.
+
+/// Compares every placement a set offers against the references for
+/// \p items at \p wires; returns the failure count.
+std::size_t compare_set(const ChainSet& set,
+                        const std::vector<ChainItem>& items, unsigned wires,
+                        const std::string& where) {
+  EXPECT_EQ(set.size(), items.size()) << where;
+  const Balance want = ref_assign_lpt_grouped_refined(items, wires);
+  std::size_t failures =
+      compare(set.grouped(wires), ref_assign_lpt_grouped(items, wires),
+              "grouped " + where) +
+      compare(set.refined(wires), want, "refined " + where) +
+      compare(assign_lpt_grouped_refined(items, wires), want,
+              "free function " + where);
+  if (set.refined_max_load(wires) != want.max_load()) {
+    ADD_FAILURE() << "refined_max_load " << where;
+    ++failures;
+  }
+  return failures;
+}
+
+/// Each core's items, in the order random_items drew them.
+std::vector<std::vector<ChainItem>> by_core(
+    const std::vector<ChainItem>& items) {
+  std::vector<std::vector<ChainItem>> cores;
+  for (const ChainItem& it : items) {
+    if (cores.empty() || cores.back().front().core != it.core)
+      cores.emplace_back();
+    cores.back().push_back(it);
+  }
+  return cores;
+}
+
+// Sets built in one sort, at every wire count from 1 to 64, on sizes just
+// either side of the 96-item polish limit, with ties and relaxed cores.
+TEST(ChainSet, PlacementMatchesReferenceAtEveryWireCount) {
+  Rng rng(1709);
+  std::size_t failures = 0;
+  for (unsigned wires = 1; wires <= 64 && failures <= 10; ++wires) {
+    for (const std::size_t n : {std::size_t{0}, std::size_t{7},
+                                std::size_t{94}, std::size_t{95},
+                                std::size_t{96}, std::size_t{97},
+                                std::size_t{98}, std::size_t{250}}) {
+      Shape shape;
+      shape.ties = rng.below(2) == 0;
+      shape.relax = rng.below(3) == 0;
+      shape.interleave = rng.below(4) == 0;
+      shape.sparse_ids = rng.below(2) == 0;
+      const std::vector<ChainItem> items = random_items(rng, wires, n, shape);
+      failures += compare_set(ChainSet(items), items, wires,
+                              "wires " + std::to_string(wires) + " items " +
+                                  std::to_string(n));
+    }
+  }
+  EXPECT_EQ(failures, 0u);
+}
+
+// Greedy's pattern: a group's set grows by merging one core's set at a
+// time, crossing the polish limit on the way; after every merge the set
+// equals a fresh sort of the concatenated items.
+TEST(ChainSet, MergeSequencesMatchReference) {
+  Rng rng(31);
+  std::size_t failures = 0, crossed = 0;
+  for (int trial = 0; trial < 60 && failures <= 10; ++trial) {
+    const auto wires = static_cast<unsigned>(1 + rng.below(64));
+    Shape shape;
+    shape.ties = rng.below(2) == 0;
+    shape.relax = rng.below(3) == 0;
+    shape.sparse_ids = rng.below(2) == 0;
+    const std::vector<ChainItem> pool =
+        random_items(rng, wires, 60 + rng.below(140), shape);
+    ChainSet set;
+    std::vector<ChainItem> items;
+    for (const std::vector<ChainItem>& core : by_core(pool)) {
+      set = set.merged(ChainSet(core));
+      items.insert(items.end(), core.begin(), core.end());
+      failures += compare_set(set, items, wires,
+                              "trial " + std::to_string(trial) + " items " +
+                                  std::to_string(items.size()));
+    }
+    crossed += items.size() > 96 ? 1 : 0;
+  }
+  EXPECT_EQ(failures, 0u);
+  EXPECT_GT(crossed, 30u);
+}
+
+// Phased's pattern: cores retire from the front, so each phase's set is a
+// suffix of the first; after every cut (at core boundaries and inside a
+// core) the set equals a fresh sort of the remaining items.
+TEST(ChainSet, SuffixSequencesMatchReference) {
+  Rng rng(97);
+  std::size_t failures = 0;
+  for (int trial = 0; trial < 60 && failures <= 10; ++trial) {
+    const auto wires = static_cast<unsigned>(1 + rng.below(64));
+    Shape shape;
+    shape.ties = rng.below(2) == 0;
+    shape.relax = rng.below(3) == 0;
+    shape.sparse_ids = rng.below(2) == 0;
+    const std::vector<ChainItem> all =
+        random_items(rng, wires, 60 + rng.below(140), shape);
+    const ChainSet full(all);
+    std::size_t first = 0;
+    ChainSet set = full;
+    for (const std::vector<ChainItem>& core : by_core(all)) {
+      // Cut from the full set and, in steps, from the previous cut.
+      const std::vector<ChainItem> rest(
+          all.begin() + static_cast<std::ptrdiff_t>(first), all.end());
+      const std::string where = "trial " + std::to_string(trial) +
+                                " first " + std::to_string(first);
+      failures += compare_set(full.suffix(first), rest, wires, where);
+      failures += compare_set(set, rest, wires, "stepwise " + where);
+      const std::size_t inside = first + rng.below(core.size());
+      failures += compare_set(
+          full.suffix(inside),
+          std::vector<ChainItem>(
+              all.begin() + static_cast<std::ptrdiff_t>(inside), all.end()),
+          wires, "inside " + where);
+      set = set.suffix(core.size());
+      first += core.size();
+    }
+    EXPECT_EQ(set.size(), 0u);
   }
   EXPECT_EQ(failures, 0u);
 }

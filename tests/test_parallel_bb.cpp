@@ -39,6 +39,7 @@ sched::CoreTestSpec bist_core(std::string name, std::uint64_t cycles) {
 struct Fingerprint {
   std::uint64_t best_cost, lower_bound;
   std::uint64_t nodes, leaves, dives, prunes, improvements, rebalances;
+  std::uint64_t balances, term_memo_hits;
   bool optimal;
   std::vector<std::uint64_t> session_cycles;
 
@@ -47,6 +48,7 @@ struct Fingerprint {
                   r.nodes_expanded, r.leaves_priced,
                   r.dives,          r.prunes,
                   r.incumbent_improvements, r.rebalances,
+                  r.balances,       r.term_memo_hits,
                   r.optimal,        {}};
     for (const sched::ScheduledSession& s : r.schedule.sessions)
       f.session_cycles.push_back(s.total_cycles());
@@ -58,8 +60,9 @@ struct Fingerprint {
 
 // In deterministic mode the shard structure, round schedule, dive points
 // and merge order are all independent of the thread count, so *every*
-// observable — incumbent schedule, certificate, and all counters — must
-// be byte-identical from 1 thread to an oversubscribed 8.
+// observable — incumbent schedule, certificate, and all counters, the
+// balance and scan-term memo counts included — must be byte-identical from
+// 1 thread to an oversubscribed 8.
 TEST(ParallelBB, DeterministicAcrossThreadCounts) {
   const SocGenerator gen(17);
   for (const std::size_t cores : {30, 60}) {
@@ -72,6 +75,9 @@ TEST(ParallelBB, DeterministicAcrossThreadCounts) {
     config.threads = 1;
     const Fingerprint base =
         Fingerprint::of(BranchBoundScheduler(s, config).run());
+    // Dives reprice groups earlier dives priced: the memo answers some.
+    EXPECT_GT(base.balances, 0u) << cores << " cores";
+    EXPECT_GT(base.term_memo_hits, 0u) << cores << " cores";
     for (const std::size_t threads : {2, 3, 8}) {
       config.threads = threads;
       const Fingerprint fp =
@@ -309,6 +315,7 @@ TEST(ParallelBB, ScheduleWithThreadsMatchesSerial) {
   EXPECT_EQ(threaded.sessions.size(), serial.sessions.size());
   EXPECT_GT(stats.nodes_expanded, 0u);
   EXPECT_GT(stats.leaves_priced, 0u);
+  EXPECT_GT(stats.balances, 0u);
 }
 
 }  // namespace
