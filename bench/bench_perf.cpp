@@ -248,53 +248,6 @@ void BM_PackedGateSim(benchmark::State& state) {
 }
 BENCHMARK(BM_PackedGateSim)->Arg(256)->Arg(1024)->Arg(4096);
 
-/// Scan-shift workload shared by the sweep/event packed benchmarks:
-/// scan_en held high, functional inputs quiet, and a repeat-fill scan
-/// stream (the fill value flips only every 4 chain lengths, as in
-/// repeat-fill ATPG compression). Per shift cycle only the old/new-value
-/// boundary moves — one flip-flop per chain changes — so almost every
-/// logic cone is quiescent. This is the workload the event-driven mode is
-/// built for; the "activity" counter records the fraction of gate
-/// evaluations it actually performed (1.0 for a full sweep).
-void run_packed_shift(benchmark::State& state, netlist::EvalMode mode) {
-  const tpg::SyntheticCore& core = simcore_for(state.range(0));
-  netlist::PackedGateSim sim(simcore_lev(state.range(0)), mode);
-  sim.reset();
-  for (std::size_t i = 0; i < core.spec.n_inputs; ++i)
-    sim.set_input_index(i, Logic64{~0ULL, 0});  // all lanes driven 0
-  sim.set_input("scan_en", Logic4::One);
-  const std::size_t refill = 4 * core.max_chain_length();
-  std::size_t cycle = 0;
-  bool fill = false;
-  for (auto _ : state) {
-    if (cycle++ % refill == 0) fill = !fill;
-    for (std::size_t c = 0; c < core.spec.n_chains; ++c)
-      sim.set_input("si" + std::to_string(c),
-                    fill ? Logic4::One : Logic4::Zero);
-    sim.eval();
-    sim.tick();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0) * 64);
-  state.counters["patterns_per_sec"] =
-      benchmark::Counter(64.0, benchmark::Counter::kIsIterationInvariantRate);
-  state.counters["activity"] = sim.stats().activity();
-}
-
-/// Full-sweep baseline on the scan-shift workload.
-void BM_PackedGateSimSweepShift(benchmark::State& state) {
-  run_packed_shift(state, netlist::EvalMode::FullSweep);
-}
-BENCHMARK(BM_PackedGateSimSweepShift)->Arg(1024)->Arg(4096);
-
-/// Event-driven mode on the same workload; patterns_per_sec here /
-/// BM_PackedGateSimSweepShift at the same gate count is the event-driven
-/// speedup (acceptance target: >= 3x on this workload).
-void BM_PackedGateSimEventShift(benchmark::State& state) {
-  run_packed_shift(state, netlist::EvalMode::EventDriven);
-}
-BENCHMARK(BM_PackedGateSimEventShift)->Arg(1024)->Arg(4096);
-
 /// The core graded by every fault-simulation benchmark, cached like
 /// simcore_for so repetitions share one generation + levelization.
 const tpg::SyntheticCore& faultcore_for(std::int64_t n_gates) {
@@ -358,26 +311,6 @@ void BM_FaultSim64(benchmark::State& state) {
   state.counters["faults"] = static_cast<double>(faults.size());
 }
 BENCHMARK(BM_FaultSim64)->Arg(64)->Arg(256);
-
-/// BM_FaultSim64 with event-driven workers: grading identical, but each
-/// faulty batch re-simulates only the fault cones. The "activity" counter
-/// is the fraction of full-sweep gate evaluations actually performed.
-void BM_FaultSim64Event(benchmark::State& state) {
-  const tpg::SyntheticCore& core = faultcore_for(state.range(0));
-  tpg::FaultSimulator fsim(faultcore_lev(state.range(0)),
-                           netlist::EvalMode::EventDriven);
-  const auto faults = tpg::enumerate_faults(core.netlist);
-  Rng rng(3);
-  const auto patterns =
-      tpg::PatternSet::random(fsim.pattern_width(), 8, rng);
-  for (auto _ : state) {
-    const auto report = fsim.run(patterns, faults);
-    benchmark::DoNotOptimize(report.detected);
-  }
-  state.counters["faults"] = static_cast<double>(faults.size());
-  state.counters["activity"] = fsim.stats().activity();
-}
-BENCHMARK(BM_FaultSim64Event)->Arg(64)->Arg(256);
 
 /// Threaded fault campaign on a campaign-sized grid (1024 gates, ~3k
 /// faults, 32 patterns), sharded across range(0) worker threads

@@ -70,7 +70,7 @@ constexpr const char* kOptionsHelp =
     " [--scenario-mix scan:4,bist:2,hier:1,maint:1]"
     " [--strategy single|per_core|greedy|phased|exact|branch_bound]"
     " [--patterns-per-ff K] [--queue-capacity Q] [--cache C]"
-    " [--sim-threads T] [--sched-threads T] [--sweep-sim] [--stream]"
+    " [--sim-threads T] [--sched-threads T] [--stream]"
     " [--summary]"
     " [--stats-json FILE] [--trace FILE] [--stats-interval-ms N]"
     " [--health] [--health-interval-ms N] [--watchdog-ms N]"
@@ -253,7 +253,6 @@ int main(int argc, char** argv) {
         config.sim_threads = std::stoul(cli.value());
       else if (cli.is("--sched-threads"))
         config.sched_threads = std::stoul(cli.value());
-      else if (cli.is("--sweep-sim")) config.event_sim = !cli.boolean();
       else if (cli.is("--stream")) stream = cli.boolean();
       else if (cli.is("--summary")) summary = cli.boolean();
       else if (cli.is("--stats-json")) telemetry.stats_json = cli.value();

@@ -83,15 +83,6 @@ void harvest_tester(const soc::SocTester& tester, JobResult& result) {
   result.engine.kernel_gate_cells = kernel.gate_cell_evals;
 }
 
-/// Maps the floor-level engine knobs onto soc::TesterOptions.
-soc::TesterOptions tester_options(const JobSimOptions& sim) {
-  soc::TesterOptions opts;
-  opts.sim_mode = sim.event_sim ? netlist::EvalMode::EventDriven
-                                : netlist::EvalMode::FullSweep;
-  opts.sim_threads = sim.sim_threads;
-  return opts;
-}
-
 /// Lints one generated core netlist, including its scan-chain topology
 /// (verify rule NL007 walks the mux-D path the chain spec promises).
 verify::LintReport lint_core_netlist(const tpg::SyntheticCore& core) {
@@ -236,7 +227,7 @@ void run_scheduled(const JobSpec& spec, bool with_engines, Rng& rng,
   }
 
   // ---- Stage: Simulate ----------------------------------------------------
-  soc::SocTester tester(*soc, tester_options(sim));
+  soc::SocTester tester(*soc, soc::TesterOptions{sim.sim_threads});
   const soc::ScheduleRunReport report =
       soc::run_program(*soc, tester, *program);
   harvest_tester(tester, result);
@@ -278,7 +269,7 @@ void run_hierarchical(const JobSpec& spec, Rng& rng, bool verify,
                                 static_cast<unsigned>(children),
                                 std::move(child_specs));
   auto soc = builder.build();
-  soc::SocTester tester(*soc, tester_options(sim));
+  soc::SocTester tester(*soc, soc::TesterOptions{sim.sim_threads});
   timer.finish(Stage::Build);
 
   // ---- Stage: Compile (hand-assembled session) ----------------------------
@@ -350,7 +341,7 @@ void run_maintenance(const JobSpec& spec, Rng& rng, bool verify,
   auto soc = builder.build();
 
   soc::MemoryTraffic traffic(*soc, 1, rng.next());
-  soc::SocTester tester(*soc, tester_options(sim));
+  soc::SocTester tester(*soc, soc::TesterOptions{sim.sim_threads});
   soc::MemoryCore& ram = soc->cores()[0].as_memory();
   timer.finish(Stage::Build);
 

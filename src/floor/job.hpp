@@ -187,14 +187,12 @@ struct JobResult {
 class ProgramCache;
 
 /// Simulation-engine options forwarded to a job's private SocTester
-/// (soc::TesterOptions carries the full contract). Both knobs are pure
-/// optimisations: every deterministic JobResult field is byte-identical
-/// for any combination, so they are excluded from JobSpec::cache_key —
-/// a cached program/verdict is valid under any engine configuration.
+/// (soc::TesterOptions carries the full contract). Both thread counts are
+/// pure optimisations: every deterministic JobResult field is
+/// byte-identical for any combination, so they are excluded from
+/// JobSpec::cache_key — a cached program/verdict is valid under any
+/// engine configuration.
 struct JobSimOptions {
-  /// Event-driven golden-model evaluation (netlist::EvalMode::EventDriven)
-  /// instead of full sweeps. Exact by construction (packed_gatesim.hpp).
-  bool event_sim = true;
   /// Threads for precomputing a session's golden responses (1 = inline,
   /// 0 = one per hardware thread). Responses depend only on (core,
   /// pattern), so the thread count cannot change any result.

@@ -196,8 +196,7 @@ void FloorSession::worker_main(std::size_t worker) {
         std::memory_order_relaxed);
     JobResult result =
         run_job(job->spec, cache_ptr, config_.verify,
-                JobSimOptions{config_.event_sim, config_.sim_threads,
-                              config_.sched_threads},
+                JobSimOptions{config_.sim_threads, config_.sched_threads},
                 obs);
     const auto end = std::chrono::steady_clock::now();
     job_start_us_[worker].store(kWorkerIdle, std::memory_order_relaxed);

@@ -27,8 +27,8 @@
 /// off, and to an equivalent batch TestFloor::run over the same list.
 /// Caches cannot break this because compilation is pure (see job.hpp);
 /// stealing cannot because results land by slot, never by completion.
-/// The engine knobs (event_sim, sim_threads, sched_threads) cannot
-/// either: all are pure optimisations of the Simulate / Schedule stages
+/// The engine knobs (sim_threads, sched_threads) cannot either: both are
+/// pure optimisations of the Simulate / Schedule stages
 /// (see JobSimOptions in job.hpp and the measured cost model in
 /// docs/PERFORMANCE.md).
 
@@ -81,10 +81,6 @@ struct FloorConfig {
   /// without simulating. Cheap (µs per job) — disable only to measure its
   /// cost or to force a known-bad design through the tester.
   bool verify = true;
-  /// Event-driven golden-model evaluation in each job's tester
-  /// (JobSimOptions::event_sim). Pure optimisation: deterministic results
-  /// are byte-identical either way.
-  bool event_sim = true;
   /// Golden-response precompute threads inside each job's Simulate stage
   /// (JobSimOptions::sim_threads; 1 = inline, 0 = one per hardware
   /// thread). Multiplies with `workers` — prefer sim_threads > 1 when a

@@ -7,12 +7,11 @@
 
 namespace casbus::netlist {
 
-FaultSim::FaultSim(Netlist nl, EvalMode mode)
-    : FaultSim(std::make_shared<const LevelizedNetlist>(std::move(nl)),
-               mode) {}
+FaultSim::FaultSim(Netlist nl)
+    : FaultSim(std::make_shared<const LevelizedNetlist>(std::move(nl))) {}
 
-FaultSim::FaultSim(std::shared_ptr<const LevelizedNetlist> lev, EvalMode mode)
-    : sim_(std::move(lev), mode) {
+FaultSim::FaultSim(std::shared_ptr<const LevelizedNetlist> lev)
+    : sim_(std::move(lev)) {
   set_observation(true, true);
 }
 
@@ -133,9 +132,8 @@ FaultCampaignReport run_fault_campaign(
   // the shared immutable levelization, all patterns in order, fault
   // dropping within the shard. Workers write disjoint slices of the
   // report vectors, so no synchronisation is needed until the join.
-  const auto grade_shard = [&](std::size_t lo, std::size_t hi,
-                               SimStats* stats_out) {
-    FaultSim fs(lev, opts.mode);
+  const auto grade_shard = [&](std::size_t lo, std::size_t hi) {
+    FaultSim fs(lev);
     fs.set_observation(opts.observe_outputs, opts.observe_dffs);
     StuckAtFault batch[FaultSim::kBatch];
     std::size_t batch_idx[FaultSim::kBatch];
@@ -164,14 +162,12 @@ FaultCampaignReport run_fault_campaign(
       }
       flush();
     }
-    *stats_out = fs.stats();
   };
 
-  std::vector<SimStats> shard_stats(threads);
   const std::size_t base = faults.size() / threads;
   const std::size_t extra = faults.size() % threads;
   if (threads == 1) {
-    grade_shard(0, faults.size(), &shard_stats[0]);
+    grade_shard(0, faults.size());
   } else {
     std::vector<std::thread> pool;
     std::vector<std::exception_ptr> errors(threads);
@@ -181,7 +177,7 @@ FaultCampaignReport run_fault_campaign(
       const std::size_t hi = lo + base + (t < extra ? 1 : 0);
       pool.emplace_back([&, t, lo, hi] {
         try {
-          grade_shard(lo, hi, &shard_stats[t]);
+          grade_shard(lo, hi);
         } catch (...) {
           errors[t] = std::current_exception();
         }
@@ -195,11 +191,6 @@ FaultCampaignReport run_fault_campaign(
 
   for (const std::uint8_t d : report.detected)
     report.detected_count += d;
-  for (const SimStats& s : shard_stats) {
-    report.stats.eval_passes += s.eval_passes;
-    report.stats.cell_evals += s.cell_evals;
-    report.stats.sweep_cell_evals += s.sweep_cell_evals;
-  }
   return report;
 }
 

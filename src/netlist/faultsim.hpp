@@ -51,16 +51,10 @@ class FaultSim {
   /// Faults simulated per packed eval pass.
   static constexpr std::size_t kBatch = PackedGateSim::kLanes;
 
-  explicit FaultSim(Netlist nl, EvalMode mode = EvalMode::FullSweep);
-  explicit FaultSim(std::shared_ptr<const LevelizedNetlist> lev,
-                    EvalMode mode = EvalMode::FullSweep);
+  explicit FaultSim(Netlist nl);
+  explicit FaultSim(std::shared_ptr<const LevelizedNetlist> lev);
 
-  /// Switches the embedded engine's evaluation strategy (same detection
-  /// results either way; EventDriven only re-simulates the fault cones).
-  void set_mode(EvalMode mode) { sim_.set_mode(mode); }
-  [[nodiscard]] EvalMode mode() const noexcept { return sim_.mode(); }
-
-  /// Gate-evaluation counters of the embedded engine (activity factor).
+  /// Gate-evaluation counters of the embedded engine.
   [[nodiscard]] const SimStats& stats() const noexcept {
     return sim_.stats();
   }
@@ -134,8 +128,6 @@ struct FaultCampaignOptions {
   /// Worker threads; 0 means one per hardware thread. The result is
   /// byte-identical for every value (see the file comment).
   std::size_t threads = 1;
-  /// Evaluation strategy of each worker's private engine.
-  EvalMode mode = EvalMode::FullSweep;
   /// Observation points, as in FaultSim::set_observation.
   bool observe_outputs = true;
   bool observe_dffs = true;
@@ -150,8 +142,6 @@ struct FaultCampaignReport {
   /// Well-defined under fault dropping: patterns are graded in order.
   std::vector<std::int32_t> first_detect_pattern;
   std::size_t detected_count = 0;
-  /// Summed engine counters across workers (activity measurement).
-  SimStats stats;
 
   [[nodiscard]] double coverage() const noexcept {
     return detected.empty() ? 1.0

@@ -38,12 +38,10 @@ void LevelizedNetlist::levelize() {
   // outputs, undriven nets) are ready from the start.
   const std::size_t n_nets = nl_.net_count();
   std::vector<int> pending_drivers(n_nets, 0);
-  std::vector<std::vector<CellId>>& readers = net_readers_;
-  readers.assign(n_nets, {});
+  std::vector<std::vector<CellId>> readers(n_nets);
   net_comb_drivers_.assign(n_nets, {});
   std::vector<int> cell_missing(nl_.cell_count(), 0);
-  std::vector<std::size_t>& cell_level = cell_level_;
-  cell_level.assign(nl_.cell_count(), 0);
+  std::vector<std::size_t> cell_level(nl_.cell_count(), 0);
   std::vector<std::size_t> net_level(n_nets, 0);
 
   for (CellId id = 0; id < nl_.cell_count(); ++id) {

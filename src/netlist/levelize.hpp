@@ -47,28 +47,15 @@ class LevelizedNetlist {
     return net_is_tri_[net];
   }
 
-  /// Combinational cells reading \p net (the fanout list). A cell reading
-  /// the same net on two pins appears twice; event-driven evaluation
-  /// dedups via its per-cell dirty flag.
-  [[nodiscard]] const std::vector<CellId>& readers(NetId net) const {
-    return net_readers_[net];
-  }
-
   /// Combinational cells driving \p net, in comb_order() position. At most
   /// one entry unless the net is tri-state (wired: several Tribufs).
   [[nodiscard]] const std::vector<CellId>& comb_drivers(NetId net) const {
     return net_comb_drivers_[net];
   }
 
-  /// Evaluation level of a combinational cell: 1 + max level of its input
-  /// nets, so every reader sits strictly above all drivers of its inputs.
-  /// Sequential cells report level 0 (their outputs are sources).
-  [[nodiscard]] std::size_t cell_level(CellId id) const {
-    return cell_level_[id];
-  }
-
-  /// Combinational depth (max cell level) — the critical path in gate
-  /// stages, reported by the generator benches.
+  /// Combinational depth — the critical path in gate stages (a cell's
+  /// level is 1 + the max level of its input nets), reported by the
+  /// generator benches.
   [[nodiscard]] std::size_t depth() const noexcept { return depth_; }
 
   /// Position of primary input \p name; throws on unknown names.
@@ -84,9 +71,7 @@ class LevelizedNetlist {
   std::vector<CellId> comb_order_;
   std::vector<CellId> dff_cells_;
   std::vector<bool> net_is_tri_;
-  std::vector<std::vector<CellId>> net_readers_;
   std::vector<std::vector<CellId>> net_comb_drivers_;
-  std::vector<std::size_t> cell_level_;
   std::unordered_map<std::string, std::size_t> input_index_;
   std::unordered_map<std::string, std::size_t> output_index_;
   std::size_t depth_ = 0;

@@ -4,58 +4,21 @@
 
 namespace casbus::netlist {
 
-PackedGateSim::PackedGateSim(Netlist nl, EvalMode mode)
-    : PackedGateSim(std::make_shared<const LevelizedNetlist>(std::move(nl)),
-                    mode) {}
+PackedGateSim::PackedGateSim(Netlist nl)
+    : PackedGateSim(std::make_shared<const LevelizedNetlist>(std::move(nl))) {}
 
-PackedGateSim::PackedGateSim(std::shared_ptr<const LevelizedNetlist> lev,
-                             EvalMode mode)
-    : lev_(std::move(lev)), mode_(mode) {
+PackedGateSim::PackedGateSim(std::shared_ptr<const LevelizedNetlist> lev)
+    : lev_(std::move(lev)) {
   CASBUS_REQUIRE(lev_ != nullptr, "PackedGateSim: null levelized netlist");
   net_val_.assign(nl().net_count(), kWordAllX);
   input_val_.assign(nl().inputs().size(), kWordAllX);
   dff_state_.assign(lev_->dff_cells().size(), kWordAllZero);
-  if (mode_ == EvalMode::EventDriven) prepare_event_state();
-}
-
-void PackedGateSim::set_mode(EvalMode mode) {
-  if (mode == mode_) return;
-  mode_ = mode;
-  // The next eval() runs one priming sweep; incremental state built under
-  // the old mode is stale either way.
-  state_valid_ = false;
-  if (mode_ == EvalMode::EventDriven) prepare_event_state();
-}
-
-void PackedGateSim::prepare_event_state() {
-  if (!cell_out_.empty()) return;  // already allocated
-  cell_out_.assign(nl().cell_count(), kWordAllX);
-  cell_dirty_.assign(nl().cell_count(), 0);
-  level_bucket_.assign(lev_->depth() + 1, {});
-  net_touched_.assign(nl().net_count(), 0);
-  // Seed-source maps mirror the sweep's seeding order: inputs overwrite
-  // the tri/X default, DFF outputs overwrite inputs; within each group a
-  // later index wins (same as the sweep's overwrite loop).
-  seed_input_.assign(nl().net_count(), 0);
-  seed_dff_.assign(nl().net_count(), 0);
-  for (std::size_t i = 0; i < nl().inputs().size(); ++i)
-    seed_input_[nl().inputs()[i].net] = static_cast<std::uint32_t>(i) + 1;
-  const auto& dffs = lev_->dff_cells();
-  for (std::size_t i = 0; i < dffs.size(); ++i)
-    seed_dff_[nl().cell(dffs[i]).out] = static_cast<std::uint32_t>(i) + 1;
-}
-
-void PackedGateSim::touch(NetId net) {
-  if (net_touched_.empty() || net_touched_[net]) return;
-  net_touched_[net] = 1;
-  touched_.push_back(net);
 }
 
 void PackedGateSim::reset(Logic4 state) {
   dff_state_.assign(lev_->dff_cells().size(), word_broadcast(state));
   input_val_.assign(nl().inputs().size(), kWordAllX);
   net_val_.assign(nl().net_count(), kWordAllX);
-  state_valid_ = false;
 }
 
 void PackedGateSim::set_input(const std::string& name, Logic64 v) {
@@ -64,9 +27,7 @@ void PackedGateSim::set_input(const std::string& name, Logic64 v) {
 
 void PackedGateSim::set_input_index(std::size_t index, Logic64 v) {
   CASBUS_REQUIRE(index < input_val_.size(), "input index out of range");
-  if (input_val_[index] == v) return;
   input_val_[index] = v;
-  touch(nl().inputs()[index].net);
 }
 
 void PackedGateSim::set_input_lane(std::size_t index, unsigned lane,
@@ -101,16 +62,6 @@ Logic64 PackedGateSim::eval_cell(const Cell& c) const {
 }
 
 void PackedGateSim::eval() {
-  ++stats_.eval_passes;
-  stats_.sweep_cell_evals += lev_->comb_order().size();
-  if (mode_ == EvalMode::EventDriven && state_valid_) {
-    eval_event();
-    return;
-  }
-  eval_full_sweep();
-}
-
-void PackedGateSim::eval_full_sweep() {
   // Seed source nets exactly as the scalar simulator does, lane-wise:
   // tri-state nets start at Z, everything else at X, then primary inputs
   // and DFF outputs overwrite their nets and forces overwrite their lanes.
@@ -125,94 +76,18 @@ void PackedGateSim::eval_full_sweep() {
   for (const NetId n : forced_)
     net_val_[n] = word_blend(net_val_[n], force_val_[n], force_mask_[n]);
 
-  const bool caching = mode_ == EvalMode::EventDriven;
   for (const CellId id : lev_->comb_order()) {
     const Cell& c = nl().cell(id);
     Logic64 v = eval_cell(c);
-    // The event path rebuilds nets from raw driver outputs, so the cache
-    // holds the pre-resolve, pre-force value.
-    if (caching) cell_out_[id] = v;
     if (lev_->net_is_tri(c.out)) v = word_resolve(net_val_[c.out], v);
     // Stuck lanes stay stuck: the forced value wins over the driver.
     if (has_forces() && force_on_[c.out])
       v = word_blend(v, force_val_[c.out], force_mask_[c.out]);
     net_val_[c.out] = v;
   }
+  ++stats_.eval_passes;
   stats_.cell_evals += lev_->comb_order().size();
-
-  // A sweep makes every cached value coherent; pending touches are moot.
-  for (const NetId n : touched_) net_touched_[n] = 0;
-  touched_.clear();
-  state_valid_ = caching;
-}
-
-Logic64 PackedGateSim::recompute_net(NetId net) const {
-  const auto& drivers = lev_->comb_drivers(net);
-  Logic64 v;
-  if (!lev_->net_is_tri(net) && !drivers.empty()) {
-    // Single combinational driver (validate() forbids non-Tribuf sharing);
-    // its output overwrites any seed, exactly as in the sweep.
-    v = cell_out_[drivers.front()];
-  } else {
-    if (seed_dff_[net] != 0) {
-      v = dff_state_[seed_dff_[net] - 1];
-    } else if (seed_input_[net] != 0) {
-      v = input_val_[seed_input_[net] - 1];
-    } else {
-      v = lev_->net_is_tri(net) ? kWordAllZ : kWordAllX;
-    }
-    // Wired resolution is a commutative OR of planes, so folding cached
-    // driver outputs in any order matches the sweep byte-for-byte.
-    for (const CellId d : drivers) v = word_resolve(v, cell_out_[d]);
-  }
-  if (!force_on_.empty() && force_on_[net])
-    v = word_blend(v, force_val_[net], force_mask_[net]);
-  return v;
-}
-
-void PackedGateSim::schedule_readers(NetId net) {
-  for (const CellId r : lev_->readers(net)) {
-    if (cell_dirty_[r]) continue;
-    cell_dirty_[r] = 1;
-    level_bucket_[lev_->cell_level(r)].push_back(r);
-  }
-}
-
-void PackedGateSim::eval_event() {
-  // Re-derive every touched source net; changed ones dirty their readers.
-  for (const NetId n : touched_) {
-    net_touched_[n] = 0;
-    const Logic64 v = recompute_net(n);
-    if (v != net_val_[n]) {
-      net_val_[n] = v;
-      schedule_readers(n);
-    }
-  }
-  touched_.clear();
-
-  // Flood levels in ascending order. A reader's level is strictly above
-  // every driver of its input nets (LevelizedNetlist::cell_level), so a
-  // cell is evaluated at most once per pass, after all its inputs settled.
-  for (std::size_t lvl = 1; lvl < level_bucket_.size(); ++lvl) {
-    std::vector<CellId>& bucket = level_bucket_[lvl];
-    // schedule_readers only appends to strictly higher buckets, so plain
-    // index iteration is safe even though the vector family is growing.
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      const CellId id = bucket[i];
-      cell_dirty_[id] = 0;
-      const Logic64 out = eval_cell(nl().cell(id));
-      ++stats_.cell_evals;
-      if (out == cell_out_[id]) continue;
-      cell_out_[id] = out;
-      const NetId n = nl().cell(id).out;
-      const Logic64 v = recompute_net(n);
-      if (v != net_val_[n]) {
-        net_val_[n] = v;
-        schedule_readers(n);
-      }
-    }
-    bucket.clear();
-  }
+  stats_.sweep_cell_evals += lev_->comb_order().size();
 }
 
 void PackedGateSim::set_force(NetId net, Logic4 v, std::uint64_t lane_mask) {
@@ -226,14 +101,12 @@ void PackedGateSim::set_force(NetId net, Logic4 v, std::uint64_t lane_mask) {
   force_on_[net] = true;
   force_val_[net] = word_blend(force_val_[net], word_broadcast(v), lane_mask);
   force_mask_[net] |= lane_mask;
-  touch(net);
 }
 
 void PackedGateSim::clear_forces() {
   for (const NetId n : forced_) {
     force_on_[n] = false;
     force_mask_[n] = 0;
-    touch(n);
   }
   forced_.clear();
 }
@@ -254,7 +127,6 @@ void PackedGateSim::tick() {
       next[i] = {(e1 & cap.p0) | (e0 & dff_state_[i].p0) | ~(e0 | e1),
                  (e1 & cap.p1) | (e0 & dff_state_[i].p1) | ~(e0 | e1)};
     }
-    if (!(next[i] == dff_state_[i])) touch(c.out);
   }
   dff_state_ = std::move(next);
   eval();
@@ -271,9 +143,7 @@ Logic64 PackedGateSim::output_index(std::size_t index) const {
 
 void PackedGateSim::set_dff_state(std::size_t i, Logic64 v) {
   CASBUS_REQUIRE(i < dff_state_.size(), "dff index out of range");
-  if (dff_state_[i] == v) return;
   dff_state_[i] = v;
-  touch(nl().cell(lev_->dff_cells()[i]).out);
 }
 
 void PackedGateSim::set_dff_lane(std::size_t i, unsigned lane, Logic4 v) {

@@ -8,26 +8,10 @@
 /// identical to GateSim; tests/test_packed_sim.cpp cross-checks them over
 /// random netlists, patterns and X/Z injections.
 ///
-/// ## Evaluation modes (docs/PERFORMANCE.md)
-///
-/// Two interchangeable evaluation strategies produce byte-identical net
-/// values after every eval()/tick():
-///
-///  - EvalMode::FullSweep re-evaluates every combinational cell in
-///    levelized order — cost is O(cells), independent of activity.
-///  - EvalMode::EventDriven keeps per-cell output caches and only
-///    re-evaluates the fanout cones of sources that changed since the
-///    last pass (inputs, flip-flop outputs, forces) — cost is
-///    O(active cells). Scan shifting and lane-masked fault injection
-///    touch a small fraction of the design per pass, which is where the
-///    mode wins (see SimStats::activity()).
-///
-/// Equivalence holds because readers are scheduled strictly above every
-/// driver of their input nets (LevelizedNetlist::cell_level) and wired-net
-/// resolution is a commutative OR of the planes, so a net can be rebuilt
-/// from cached driver outputs in any order. The randomized suite in
-/// tests/test_packed_sim.cpp pins the two modes against each other over
-/// forces, X/Z lanes, ticks and partial input updates.
+/// eval() is one levelized full sweep: every combinational cell is
+/// re-evaluated in LevelizedNetlist::comb_order(), so its cost is
+/// O(cells) whatever switched. Skipping quiescent cones was measured no
+/// faster on the floor (docs/PERFORMANCE.md, "Measured and rejected").
 
 #pragma once
 
@@ -42,28 +26,14 @@
 
 namespace casbus::netlist {
 
-/// Evaluation strategy of PackedGateSim — see the file comment. The two
-/// modes are observably identical; EventDriven trades memory (per-cell
-/// output caches, dirty sets) for skipping quiescent fanout cones.
-enum class EvalMode : std::uint8_t { FullSweep, EventDriven };
-
 /// Work counters of one PackedGateSim, accumulated across eval()/tick()
-/// passes until reset_stats(). The activity factor they expose is the
-/// quantity the event-driven mode exploits: cell_evals / sweep_cell_evals
-/// is the fraction of the design that actually switched.
+/// passes until reset_stats(). Every pass is a full sweep, so
+/// sweep_cell_evals equals cell_evals; both stay because the floor's
+/// telemetry reports them as separate, pinned fields.
 struct SimStats {
   std::uint64_t eval_passes = 0;      ///< eval() calls (tick() counts one)
   std::uint64_t cell_evals = 0;       ///< combinational cells evaluated
-  std::uint64_t sweep_cell_evals = 0; ///< cells a full sweep would evaluate
-
-  /// Fraction of gate evaluations actually performed (1.0 in FullSweep
-  /// mode; the activity factor in EventDriven mode).
-  [[nodiscard]] double activity() const noexcept {
-    return sweep_cell_evals == 0
-               ? 1.0
-               : static_cast<double>(cell_evals) /
-                     static_cast<double>(sweep_cell_evals);
-  }
+  std::uint64_t sweep_cell_evals = 0; ///< cells a full sweep evaluates
 };
 
 /// Simulates 64 independent instances of one Netlist per pass.
@@ -72,12 +42,10 @@ class PackedGateSim {
   /// Number of independent lanes advanced per eval pass.
   static constexpr unsigned kLanes = 64;
 
-  explicit PackedGateSim(Netlist nl,
-                         EvalMode mode = EvalMode::FullSweep);
+  explicit PackedGateSim(Netlist nl);
 
   /// Shares an already-levelized design (e.g. with a scalar GateSim).
-  explicit PackedGateSim(std::shared_ptr<const LevelizedNetlist> lev,
-                         EvalMode mode = EvalMode::FullSweep);
+  explicit PackedGateSim(std::shared_ptr<const LevelizedNetlist> lev);
 
   [[nodiscard]] const Netlist& design() const noexcept {
     return lev_->netlist();
@@ -86,12 +54,6 @@ class PackedGateSim {
       const noexcept {
     return lev_;
   }
-
-  /// Switches evaluation strategy. Safe at any point: the first eval()
-  /// after enabling EventDriven runs one full sweep to prime the per-cell
-  /// caches, then goes incremental.
-  void set_mode(EvalMode mode);
-  [[nodiscard]] EvalMode mode() const noexcept { return mode_; }
 
   /// Work counters since construction or reset_stats().
   [[nodiscard]] const SimStats& stats() const noexcept { return stats_; }
@@ -113,7 +75,8 @@ class PackedGateSim {
   /// Propagates combinational logic; one levelized pass over all lanes.
   void eval();
 
-  /// Rising clock edge in every lane: DFFs capture, then re-eval.
+  /// Rising clock edge in every lane: DFFs capture the D values of the
+  /// last eval() (call eval() first after changing inputs), then re-eval.
   void tick();
 
   [[nodiscard]] Logic64 output(const std::string& name) const;
@@ -157,18 +120,7 @@ class PackedGateSim {
 
   Logic64 eval_cell(const Cell& c) const;
 
-  // Event-driven machinery. A "touched" net is a source whose value may
-  // have changed since the last pass (input/DFF/force edits); eval()
-  // re-derives it, then floods level-ordered dirty cells downstream.
-  void prepare_event_state();
-  void touch(NetId net);
-  [[nodiscard]] Logic64 recompute_net(NetId net) const;
-  void schedule_readers(NetId net);
-  void eval_full_sweep();
-  void eval_event();
-
   std::shared_ptr<const LevelizedNetlist> lev_;
-  EvalMode mode_ = EvalMode::FullSweep;
   SimStats stats_;
   std::vector<Logic64> net_val_;
   std::vector<Logic64> input_val_;
@@ -177,18 +129,6 @@ class PackedGateSim {
   std::vector<Logic64> force_val_;          // per-net forced value
   std::vector<std::uint64_t> force_mask_;   // per-net forced lanes
   std::vector<bool> force_on_;              // per-net force active flag
-
-  // EventDriven state (allocated when the mode is first enabled).
-  bool state_valid_ = false;                // cell_out_/net_val_ coherent
-  std::vector<Logic64> cell_out_;           // cached comb cell outputs
-  std::vector<char> cell_dirty_;            // cell scheduled this pass
-  std::vector<std::vector<CellId>> level_bucket_;  // dirty cells per level
-  std::vector<NetId> touched_;              // sources edited since eval
-  std::vector<char> net_touched_;           // dedup flag for touched_
-  // Per-net sweep-seed source, index + 1 (0 = none). DFF outputs override
-  // inputs, matching the seeding order of the full sweep.
-  std::vector<std::uint32_t> seed_input_;
-  std::vector<std::uint32_t> seed_dff_;
 };
 
 }  // namespace casbus::netlist

@@ -4,11 +4,11 @@
 /// This is the *behavioural* engine — named wires, module callbacks, a
 /// settle-until-fixpoint delta loop — used by the TAM models in src/core/
 /// and src/soc/. The gate-level engines live one layer down in
-/// src/netlist/: GateSim (scalar), PackedGateSim (64 patterns per pass,
-/// with an exact event-driven mode), and FaultSim (64 faulty machines per
-/// pass, threadable via run_fault_campaign). docs/ARCHITECTURE.md maps
-/// the layers; docs/PERFORMANCE.md records the measured cost model across
-/// all four engines.
+/// src/netlist/: GateSim (scalar), PackedGateSim (64 patterns per pass),
+/// and FaultSim (64 faulty machines per pass, threadable via
+/// run_fault_campaign). docs/ARCHITECTURE.md maps the layers;
+/// docs/PERFORMANCE.md records the measured cost model across all three
+/// engines.
 
 #pragma once
 

@@ -24,8 +24,8 @@ tpg::FaultSimulator& SocTester::golden_for(const CoreRef& ref) {
     // is levelized once per job.
     NetlistCore& core = core_at(ref).as_scan();
     const tpg::SyntheticCore& sc = core.synth();
-    auto fsim = std::make_unique<tpg::FaultSimulator>(
-        core.gatesim().levelized(), options_.sim_mode);
+    auto fsim =
+        std::make_unique<tpg::FaultSimulator>(core.gatesim().levelized());
     for (std::size_t i = 0; i < sc.spec.n_inputs; ++i)
       fsim->pin_input("pi" + std::to_string(i), false);
     fsim->pin_input("scan_en", false);

@@ -24,13 +24,10 @@
 
 namespace casbus::soc {
 
-/// Simulation-engine knobs of a SocTester (docs/PERFORMANCE.md). Both are
-/// pure optimisations: every session result is byte-identical for any
-/// combination — event-driven evaluation is exact (packed_gatesim.hpp)
-/// and golden responses depend only on (core netlist, pattern).
+/// Simulation-engine knob of a SocTester (docs/PERFORMANCE.md). A pure
+/// optimisation: every session result is byte-identical for any value,
+/// because golden responses depend only on (core netlist, pattern).
 struct TesterOptions {
-  /// Evaluation strategy of the golden-model engines.
-  netlist::EvalMode sim_mode = netlist::EvalMode::EventDriven;
   /// Worker threads for precomputing a scan session's golden responses
   /// (sharded per target core; 1 = inline, 0 = one per hardware thread).
   std::size_t sim_threads = 1;

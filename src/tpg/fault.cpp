@@ -16,9 +16,8 @@ FaultSimulator::FaultSimulator(Netlist nl)
     : FaultSimulator(netlist::levelize(std::move(nl))) {}
 
 FaultSimulator::FaultSimulator(
-    std::shared_ptr<const netlist::LevelizedNetlist> lev,
-    netlist::EvalMode mode)
-    : sim_(lev), packed_(std::move(lev), mode) {
+    std::shared_ptr<const netlist::LevelizedNetlist> lev)
+    : sim_(lev), packed_(std::move(lev)) {
   for (std::size_t i = 0; i < sim_.design().inputs().size(); ++i)
     free_inputs_.push_back(i);
 }
@@ -90,9 +89,9 @@ std::vector<int> FaultSimulator::simulate(const BitVector& pattern,
 
 BitVector FaultSimulator::good_response(const BitVector& pattern) {
   // Packed path: the engine's observation order (primary outputs, then
-  // DFF D pins) matches simulate()'s response layout bit for bit, and the
-  // event-driven mode makes runs of similar patterns cheap. The scalar
-  // path survives in run_serial() as the equivalence reference.
+  // DFF D pins) matches simulate()'s response layout bit for bit, and one
+  // 64-lane sweep costs about what one scalar GateSim pass does. The
+  // scalar path survives in run_serial() as the equivalence reference.
   apply_pattern(pattern);
   const std::vector<int>& r = packed_.good_response();
   BitVector out(r.size());
@@ -133,7 +132,6 @@ FaultSimReport FaultSimulator::run(const PatternSet& patterns,
                                    std::size_t threads) {
   netlist::FaultCampaignOptions opts;
   opts.threads = threads;
-  opts.mode = packed_.mode();
   const auto loader = [this, &patterns](netlist::FaultSim& engine,
                                         std::size_t p) {
     load_pattern(engine, patterns.at(p));

@@ -68,17 +68,9 @@ class FaultSimulator {
   /// Shares an existing levelization (a campaign over one design needs a
   /// single levelize no matter how many simulators it spins up).
   explicit FaultSimulator(
-      std::shared_ptr<const netlist::LevelizedNetlist> lev,
-      netlist::EvalMode mode = netlist::EvalMode::FullSweep);
+      std::shared_ptr<const netlist::LevelizedNetlist> lev);
 
-  /// Evaluation strategy of the packed engine (netlist::EvalMode) — the
-  /// graded results are identical; EventDriven skips quiescent cones.
-  void set_mode(netlist::EvalMode mode) { packed_.set_mode(mode); }
-  [[nodiscard]] netlist::EvalMode mode() const noexcept {
-    return packed_.mode();
-  }
-
-  /// Gate-evaluation counters of the packed engine (activity factor).
+  /// Gate-evaluation counters of the packed engine.
   [[nodiscard]] const netlist::SimStats& stats() const noexcept {
     return packed_.stats();
   }
@@ -116,7 +108,7 @@ class FaultSimulator {
   /// netlist::run_fault_campaign (0 = one per hardware thread). The report
   /// — detected_mask, per_pattern, totals — is byte-identical to run()
   /// for every thread count, because fault detection is independent per
-  /// fault. Each worker inherits this simulator's EvalMode.
+  /// fault.
   FaultSimReport run(const PatternSet& patterns,
                      const std::vector<Fault>& faults, std::size_t threads);
 

@@ -52,8 +52,8 @@ Logic4 random_logic(Rng& rng) {
   return r == 8 ? Logic4::X : Logic4::Z;
 }
 
-/// Drives a lazy GateSim and a FullSweep PackedGateSim (lane 0 carries the
-/// scalar machine) through \p steps random mutators, clocks and reads. The
+/// Drives a lazy GateSim and a PackedGateSim (lane 0 carries the scalar
+/// machine) through \p steps random mutators, clocks and reads. The
 /// reference is settled explicitly before every read and every clock; the
 /// lazy simulator never sees eval(), so each agreement is the lazy
 /// contract at work. Flip-flop state is compared right after every clock,
@@ -62,7 +62,7 @@ void lock_step(const netlist::Netlist& nl, std::uint64_t seed, int steps) {
   Rng rng(seed);
   const auto lev = netlist::levelize(nl);
   GateSim lazy(lev);
-  PackedGateSim ref(lev, netlist::EvalMode::FullSweep);
+  PackedGateSim ref(lev);
   const std::size_t n_in = nl.inputs().size();
   const std::size_t n_ff = lazy.dff_count();
 

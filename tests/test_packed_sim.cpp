@@ -2,7 +2,8 @@
 /// Equivalence suite for the 64-wide bit-parallel simulation stack:
 ///   - word-plane operators vs the scalar Logic4 operators (exhaustive),
 ///   - PackedGateSim vs GateSim net-for-net over random netlists, random
-///     four-state stimuli (X/Z injection included) and clocked sequences,
+///     four-state stimuli (X/Z injection included), clocked sequences and
+///     a scan-shift stream,
 ///   - lane-masked forces vs scalar set_force,
 ///   - netlist::FaultSim / tpg::FaultSimulator::run vs the serial
 ///     single-fault reference path.
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -99,11 +101,19 @@ Logic4 random_logic(Rng& rng) {
   return r == 8 ? Logic4::X : Logic4::Z;
 }
 
+/// Drives primary input \p name to \p v in every lane.
+using DriveInput = std::function<void(const std::string& name, Logic4 v)>;
+
+/// Optional stimulus update applied before the first eval() and before
+/// every tick (a scan-shift stream, say). Both engines settle it before
+/// the clock edge, so the flip-flops capture the updated inputs.
+using TickInputs = std::function<void(const DriveInput& drive)>;
+
 /// Runs packed-vs-scalar lock-step: packs 64 random stimulus lanes,
 /// mirrors each lane in a scalar GateSim, and compares every net after
 /// eval() and after each of \p ticks clock edges.
 void check_equivalence(const netlist::Netlist& nl, std::uint64_t seed,
-                       int ticks) {
+                       int ticks, const TickInputs& per_tick = {}) {
   Rng rng(seed);
   const auto lev = netlist::levelize(nl);
   PackedGateSim packed(lev);
@@ -136,11 +146,24 @@ void check_equivalence(const netlist::Netlist& nl, std::uint64_t seed,
     }
   };
 
+  const DriveInput drive = [&](const std::string& name, Logic4 v) {
+    const std::size_t i = lev->input_index(name);
+    packed.set_input_index(i, word_broadcast(v));
+    for (auto& s : scalar) s.set_input_index(i, v);
+  };
+
+  if (per_tick) per_tick(drive);
   packed.eval();
   for (auto& s : scalar) s.eval();
   compare_all("eval");
 
   for (int t = 0; t < ticks; ++t) {
+    if (per_tick) {
+      per_tick(drive);
+      packed.eval();
+      for (auto& s : scalar) s.eval();
+      compare_all("drive");
+    }
     packed.tick();
     for (auto& s : scalar) s.tick();
     compare_all("tick");
@@ -169,6 +192,27 @@ TEST(PackedGateSim, MatchesScalarOnTriStateCas) {
         n, n / 2, {tam::CasImplementation::OptimizedGateLevel, true});
     check_equivalence(gen.netlist, 77 + n, 2);
   }
+}
+
+TEST(PackedGateSim, MatchesScalarOnScanShift) {
+  // Scan-shift stimulus: scan_en is re-driven with the same One every
+  // cycle and only the chain inputs change between ticks.
+  tpg::SyntheticCoreSpec spec;
+  spec.n_inputs = 8;
+  spec.n_outputs = 8;
+  spec.n_flipflops = 32;
+  spec.n_gates = 200;
+  spec.n_chains = 2;
+  spec.seed = 31337;
+  const tpg::SyntheticCore core = tpg::make_synthetic_core(spec);
+
+  Rng shift_rng(9);
+  const TickInputs shift = [&](const DriveInput& drive) {
+    drive("scan_en", Logic4::One);
+    for (std::size_t c = 0; c < core.chains.size(); ++c)
+      drive("si" + std::to_string(c), to_logic(shift_rng.coin()));
+  };
+  check_equivalence(core.netlist, 9, 48, shift);
 }
 
 TEST(PackedGateSim, LaneMaskedForcesMatchScalar) {
@@ -275,169 +319,6 @@ TEST(PackedGateSim, ForcesOnTriStateNetsMatchScalar) {
     for (unsigned lane = 0; lane < PackedGateSim::kLanes; ++lane)
       ASSERT_EQ(word_lane(w, lane), scalar[lane].net_value(n))
           << "net " << n << " lane " << lane;
-  }
-}
-
-/// Runs event-driven vs full-sweep lock-step over \p steps rounds of
-/// random incremental edits (partial input/DFF updates, X/Z included,
-/// optional lane-masked forces) with interleaved eval()/tick(), comparing
-/// every net after each pass. This is the byte-exactness contract of
-/// EvalMode::EventDriven.
-void check_event_equivalence(const netlist::Netlist& nl, std::uint64_t seed,
-                             int steps, bool with_forces) {
-  Rng rng(seed);
-  const auto lev = netlist::levelize(nl);
-  PackedGateSim sweep(lev, netlist::EvalMode::FullSweep);
-  PackedGateSim event(lev, netlist::EvalMode::EventDriven);
-
-  const auto compare_all = [&](int step) {
-    for (netlist::NetId n = 0; n < nl.net_count(); ++n)
-      ASSERT_EQ(event.net_value(n), sweep.net_value(n))
-          << "net " << n << " step " << step << " seed " << seed;
-  };
-
-  std::vector<netlist::NetId> forced;
-  for (int step = 0; step < steps; ++step) {
-    // Edit a random subset of inputs and flip-flops (sparse on most
-    // rounds — the regime event-driven evaluation exists for).
-    const std::size_t n_edits = 1 + rng.below(3);
-    for (std::size_t e = 0; e < n_edits; ++e) {
-      if (!nl.inputs().empty() && rng.coin()) {
-        const std::size_t i = rng.below(nl.inputs().size());
-        const unsigned lane = static_cast<unsigned>(rng.below(64));
-        const Logic4 v = random_logic(rng);
-        sweep.set_input_lane(i, lane, v);
-        event.set_input_lane(i, lane, v);
-      } else if (sweep.dff_count() > 0) {
-        const std::size_t i = rng.below(sweep.dff_count());
-        const unsigned lane = static_cast<unsigned>(rng.below(64));
-        const Logic4 v = random_logic(rng);
-        sweep.set_dff_lane(i, lane, v);
-        event.set_dff_lane(i, lane, v);
-      }
-    }
-    if (with_forces) {
-      if (!forced.empty() && rng.below(4) == 0) {
-        sweep.clear_forces();
-        event.clear_forces();
-        forced.clear();
-      } else if (rng.coin()) {
-        const auto net =
-            static_cast<netlist::NetId>(rng.below(nl.net_count()));
-        const Logic4 v = to_logic(rng.coin());
-        const std::uint64_t mask = 1ULL << rng.below(64);
-        sweep.set_force(net, v, mask);
-        event.set_force(net, v, mask);
-        forced.push_back(net);
-      }
-    }
-
-    if (rng.below(4) == 0) {
-      sweep.tick();
-      event.tick();
-    } else {
-      sweep.eval();
-      event.eval();
-    }
-    compare_all(step);
-  }
-}
-
-TEST(PackedGateSim, EventDrivenMatchesSweepOnRandomCores) {
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    tpg::SyntheticCoreSpec spec;
-    spec.n_inputs = 6;
-    spec.n_outputs = 5;
-    spec.n_flipflops = 12;
-    spec.n_gates = 80;
-    spec.n_chains = 2;
-    spec.seed = 2000 + seed;
-    const tpg::SyntheticCore core = tpg::make_synthetic_core(spec);
-    check_event_equivalence(core.netlist, seed, 40, false);
-  }
-}
-
-TEST(PackedGateSim, EventDrivenMatchesSweepOnTriStateCasWithForces) {
-  // Tri-state nets are the hard case: the event path rebuilds a wired net
-  // from cached Tribuf outputs plus the sweep's seed/force semantics.
-  for (const unsigned n : {4u, 6u}) {
-    const tam::GeneratedCas gen = tam::generate_cas(
-        n, n / 2, {tam::CasImplementation::OptimizedGateLevel, true});
-    check_event_equivalence(gen.netlist, 500 + n, 30, true);
-  }
-}
-
-TEST(PackedGateSim, EventDrivenMatchesSweepOnScanShift) {
-  // Scan-shift stimulus: only the chain inputs change per cycle; event
-  // mode must stay exact while touching a fraction of the design.
-  tpg::SyntheticCoreSpec spec;
-  spec.n_inputs = 8;
-  spec.n_outputs = 8;
-  spec.n_flipflops = 32;
-  spec.n_gates = 200;
-  spec.n_chains = 2;
-  spec.seed = 31337;
-  const tpg::SyntheticCore core = tpg::make_synthetic_core(spec);
-  const auto lev = netlist::levelize(core.netlist);
-
-  PackedGateSim sweep(lev, netlist::EvalMode::FullSweep);
-  PackedGateSim event(lev, netlist::EvalMode::EventDriven);
-  const std::size_t se = lev->input_index("scan_en");
-
-  Rng rng(9);
-  for (std::size_t i = 0; i < core.netlist.inputs().size(); ++i) {
-    const Logic4 v = to_logic(rng.coin());
-    sweep.set_input_index(i, word_broadcast(v));
-    event.set_input_index(i, word_broadcast(v));
-  }
-  sweep.set_input_index(se, word_broadcast(Logic4::One));
-  event.set_input_index(se, word_broadcast(Logic4::One));
-
-  for (int cycle = 0; cycle < 48; ++cycle) {
-    for (std::size_t c = 0; c < core.chains.size(); ++c) {
-      const std::size_t idx = lev->input_index("si" + std::to_string(c));
-      const Logic4 v = to_logic(rng.coin());
-      sweep.set_input_index(idx, word_broadcast(v));
-      event.set_input_index(idx, word_broadcast(v));
-    }
-    sweep.tick();
-    event.tick();
-    for (netlist::NetId n = 0; n < core.netlist.net_count(); ++n)
-      ASSERT_EQ(event.net_value(n), sweep.net_value(n))
-          << "net " << n << " cycle " << cycle;
-  }
-  // The whole point: a shift cycle re-evaluates only the scan path.
-  EXPECT_LT(event.stats().cell_evals, event.stats().sweep_cell_evals);
-  EXPECT_LT(event.stats().activity(), 1.0);
-  EXPECT_EQ(sweep.stats().activity(), 1.0);
-}
-
-TEST(PackedGateSim, ModeSwitchMidStreamStaysExact) {
-  tpg::SyntheticCoreSpec spec;
-  spec.n_inputs = 5;
-  spec.n_outputs = 4;
-  spec.n_flipflops = 10;
-  spec.n_gates = 70;
-  spec.seed = 606;
-  const tpg::SyntheticCore core = tpg::make_synthetic_core(spec);
-  const auto lev = netlist::levelize(core.netlist);
-
-  PackedGateSim sweep(lev);
-  PackedGateSim flip(lev);  // toggles modes while running
-  Rng rng(55);
-  for (int step = 0; step < 24; ++step) {
-    if (step % 6 == 0)
-      flip.set_mode(step % 12 == 0 ? netlist::EvalMode::EventDriven
-                                   : netlist::EvalMode::FullSweep);
-    const std::size_t i = rng.below(core.netlist.inputs().size());
-    const Logic4 v = random_logic(rng);
-    sweep.set_input_index(i, word_broadcast(v));
-    flip.set_input_index(i, word_broadcast(v));
-    sweep.tick();
-    flip.tick();
-    for (netlist::NetId n = 0; n < core.netlist.net_count(); ++n)
-      ASSERT_EQ(flip.net_value(n), sweep.net_value(n))
-          << "net " << n << " step " << step;
   }
 }
 

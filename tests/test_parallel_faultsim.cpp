@@ -4,9 +4,7 @@
 ///     1/2/8 threads (detected bytes, first-detect pattern indices),
 ///   - tpg::FaultSimulator::run(patterns, faults, threads) equal to the
 ///     single-threaded run() for every thread count,
-///   - event-driven workers graded identically to full-sweep workers,
-///   - floor deterministic_summary() unchanged with sim_threads > 1 and
-///     with event simulation on or off.
+///   - floor deterministic_summary() unchanged with sim_threads > 1.
 
 #include <gtest/gtest.h>
 
@@ -77,44 +75,6 @@ TEST(FaultCampaign, DetectionMapsByteIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(FaultCampaign, EventDrivenWorkersGradeIdentically) {
-  const tpg::SyntheticCore core = campaign_core(12002);
-  const auto lev = netlist::levelize(core.netlist);
-  const auto faults = netlist::enumerate_stuck_at_faults(core.netlist);
-
-  Rng rng(11);
-  const std::size_t n_patterns = 8;
-  std::vector<std::vector<Logic4>> stimulus(n_patterns);
-  for (std::size_t p = 0; p < n_patterns; ++p)
-    for (std::size_t i = 0;
-         i < core.netlist.inputs().size() + core.spec.n_flipflops; ++i)
-      stimulus[p].push_back(to_logic(rng.coin()));
-  const auto loader = [&](netlist::FaultSim& fs, std::size_t p) {
-    const std::size_t n_in = core.netlist.inputs().size();
-    for (std::size_t i = 0; i < n_in; ++i)
-      fs.set_input_index(i, stimulus[p][i]);
-    for (std::size_t i = 0; i < core.spec.n_flipflops; ++i)
-      fs.set_dff_state(i, stimulus[p][n_in + i]);
-  };
-
-  netlist::FaultCampaignOptions sweep;
-  sweep.threads = 2;
-  sweep.mode = netlist::EvalMode::FullSweep;
-  netlist::FaultCampaignOptions event;
-  event.threads = 2;
-  event.mode = netlist::EvalMode::EventDriven;
-
-  const auto a =
-      netlist::run_fault_campaign(lev, faults, n_patterns, loader, sweep);
-  const auto b =
-      netlist::run_fault_campaign(lev, faults, n_patterns, loader, event);
-  EXPECT_EQ(a.detected, b.detected);
-  EXPECT_EQ(a.first_detect_pattern, b.first_detect_pattern);
-  EXPECT_GT(a.detected_count, 0u);
-  // The event-driven workers must have skipped work to be worth having.
-  EXPECT_LT(b.stats.cell_evals, b.stats.sweep_cell_evals);
-}
-
 TEST(FaultSimulator, ThreadedRunMatchesSingleThreadedRun) {
   const tpg::SyntheticCore core = campaign_core(12003);
 
@@ -137,49 +97,21 @@ TEST(FaultSimulator, ThreadedRunMatchesSingleThreadedRun) {
   }
 }
 
-TEST(FaultSimulator, EventModeRunMatchesSweepRun) {
-  const tpg::SyntheticCore core = campaign_core(12004);
-  const auto lev = netlist::levelize(core.netlist);
-  const auto faults = netlist::enumerate_stuck_at_faults(core.netlist);
+// --- floor-level determinism with the engine knobs --------------------------
 
-  tpg::FaultSimulator sweep(lev, netlist::EvalMode::FullSweep);
-  tpg::FaultSimulator event(lev, netlist::EvalMode::EventDriven);
-  Rng rng(23);
-  const auto patterns =
-      tpg::PatternSet::random(sweep.pattern_width(), 10, rng);
-
-  const auto a = sweep.run(patterns, faults);
-  const auto b = event.run(patterns, faults);
-  EXPECT_EQ(a.detected, b.detected);
-  EXPECT_EQ(a.detected_mask, b.detected_mask);
-  EXPECT_EQ(a.per_pattern, b.per_pattern);
-
-  // good_response runs through the packed engine in both modes.
-  for (std::size_t p = 0; p < patterns.size(); ++p)
-    EXPECT_EQ(sweep.good_response(patterns.at(p)),
-              event.good_response(patterns.at(p)))
-        << "pattern " << p;
-}
-
-// --- floor-level determinism with the new engine knobs ----------------------
-
-TEST(Floor, DeterministicSummaryUnchangedBySimThreadsAndEventMode) {
+TEST(Floor, DeterministicSummaryUnchangedBySimThreads) {
   const floor::JobFactory factory(20260807);
   const auto jobs = factory.make_jobs(8);
 
   std::string reference;
-  for (const bool event_sim : {true, false}) {
-    for (const std::size_t sim_threads : {1u, 4u}) {
-      floor::FloorConfig config;
-      config.workers = 2;
-      config.event_sim = event_sim;
-      config.sim_threads = sim_threads;
-      const floor::FloorReport report = floor::TestFloor(config).run(jobs);
-      if (reference.empty())
-        reference = report.deterministic_summary();
-      EXPECT_EQ(report.deterministic_summary(), reference)
-          << "event_sim=" << event_sim << " sim_threads=" << sim_threads;
-    }
+  for (const std::size_t sim_threads : {1u, 4u}) {
+    floor::FloorConfig config;
+    config.workers = 2;
+    config.sim_threads = sim_threads;
+    const floor::FloorReport report = floor::TestFloor(config).run(jobs);
+    if (reference.empty()) reference = report.deterministic_summary();
+    EXPECT_EQ(report.deterministic_summary(), reference)
+        << "sim_threads=" << sim_threads;
   }
 }
 

@@ -6,7 +6,7 @@ Usage:
     check_perf_gates.py --obs BENCH_obs.json --floors tools/bench_floors.json
     check_perf_gates.py --explore BENCH_explore.json
 
-Five families of checks (docs/PERFORMANCE.md and docs/OBSERVABILITY.md
+Four families of checks (docs/PERFORMANCE.md and docs/OBSERVABILITY.md
 record the models they guard):
 
 1. Absolute floors (--floors): each entry of the floors file names a
@@ -14,14 +14,7 @@ record the models they guard):
    (ns/iteration) bound. Floors are set ~5x off the recorded numbers, so
    tripping one means an algorithmic regression, not jitter.
 
-2. Event-driven speedup: for every gate count measured by both
-   BM_PackedGateSimSweepShift and BM_PackedGateSimEventShift, the
-   event-driven patterns/sec must be >= 3x the full-sweep value, and the
-   recorded activity factor must be < 0.5. This is the acceptance target
-   for the event-driven mode on its design workload (scan shift with
-   repeat fill).
-
-3. Thread scaling: BM_FaultSimThreaded/4 vs BM_FaultSimThreaded/1 real
+2. Thread scaling: BM_FaultSimThreaded/4 vs BM_FaultSimThreaded/1 real
    time. Scaling depends on the host, so the gate keys off the
    hw_threads counter the bench records: >= 2.5x required on hosts with
    >= 8 hardware threads, >= 1.8x with 4-7 (hosted CI runners are
@@ -29,7 +22,7 @@ record the models they guard):
    speedup is physically possible. Correctness at any thread count is
    covered separately by tests/test_parallel_faultsim.cpp.
 
-4. Telemetry overhead (--obs, over BENCH_obs.json from bench_obs): the
+3. Telemetry overhead (--obs, over BENCH_obs.json from bench_obs): the
    whole-floor overhead fraction with metrics+tracing fully on must stay
    under the 'obs.max_overhead' cap of the floors file (the <= 5%
    acceptance bar of the observability layer), and the disabled
@@ -40,7 +33,7 @@ record the models they guard):
    HealthMonitor evaluation at 'obs.max_health_eval_us', so the
    background health loop can never grow into a tax on the floor.
 
-5. Parallel branch and bound (--explore, over BENCH_explore.json from
+4. Parallel branch and bound (--explore, over BENCH_explore.json from
    bench_explore): (a) the gap ladder's highest-thread-count row must
    certify a 1000-core bound gap strictly below both the single-thread
    population row in the same artifact and the 1.71 absolute ceiling the
@@ -59,8 +52,6 @@ import json
 import pathlib
 import sys
 
-EVENT_SPEEDUP_MIN = 3.0
-EVENT_ACTIVITY_MAX = 0.5
 THREAD_SPEEDUP_MIN_8HW = 2.5
 THREAD_SPEEDUP_MIN_4HW = 1.8
 
@@ -100,38 +91,6 @@ def check_floors(values, floors_path, problems):
             bound = floor.get("min", floor.get("max"))
             print(f"floor ok: {floor['name']} {floor['metric']} "
                   f"= {fmt(value)} (bound {fmt(bound)})")
-
-
-def check_event_speedup(values, problems):
-    args = sorted({name.split("/", 1)[1]
-                   for (name, metric) in values
-                   if name.startswith("BM_PackedGateSimEventShift/")
-                   and metric == "counter_patterns_per_sec"})
-    if not args:
-        problems.append("no BM_PackedGateSimEventShift records in artifact")
-        return
-    for arg in args:
-        sweep = values.get((f"BM_PackedGateSimSweepShift/{arg}",
-                            "counter_patterns_per_sec"))
-        event = values.get((f"BM_PackedGateSimEventShift/{arg}",
-                            "counter_patterns_per_sec"))
-        activity = values.get((f"BM_PackedGateSimEventShift/{arg}",
-                               "counter_activity"))
-        if not sweep or not event:
-            problems.append(f"shift pair incomplete at {arg} gates")
-            continue
-        speedup = event / sweep
-        print(f"event-driven speedup at {arg} gates: {speedup:.2f}x "
-              f"(gate: >= {EVENT_SPEEDUP_MIN}x), activity {activity:.3f}")
-        if speedup < EVENT_SPEEDUP_MIN:
-            problems.append(
-                f"event-driven speedup at {arg} gates is {speedup:.2f}x "
-                f"(< {EVENT_SPEEDUP_MIN}x)")
-        if activity is None or activity >= EVENT_ACTIVITY_MAX:
-            problems.append(
-                f"event-driven activity at {arg} gates is {activity} "
-                f"(>= {EVENT_ACTIVITY_MAX}: the dirty-set tracking "
-                f"stopped skipping quiescent cones)")
 
 
 def check_thread_scaling(values, problems):
@@ -340,7 +299,6 @@ def main():
         values = load_values(args.artifact)
         if args.floors:
             check_floors(values, args.floors, problems)
-        check_event_speedup(values, problems)
         check_thread_scaling(values, problems)
     elif not args.obs and not args.explore:
         parser.error("need BENCH_perf.json, --obs BENCH_obs.json, "
