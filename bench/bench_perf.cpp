@@ -22,6 +22,7 @@
 #include "p1500/wrapper.hpp"
 #include "sched/balance.hpp"
 #include "sched/scheduler.hpp"
+#include "serial_fault_sim.hpp"
 #include "sim/simulation.hpp"
 #include "soc/core_model.hpp"
 #include "tpg/fault.hpp"
@@ -279,16 +280,17 @@ const std::shared_ptr<const netlist::LevelizedNetlist>& faultcore_lev(
 }
 
 /// Serial stuck-at fault simulation (pattern x fault grid), one faulty
-/// machine per eval pass — the pre-packed baseline.
+/// machine per eval pass — the test-only reference in
+/// tests/serial_fault_sim.hpp, kept as the pre-packed baseline.
 void BM_FaultSim(benchmark::State& state) {
   const tpg::SyntheticCore& core = faultcore_for(state.range(0));
-  tpg::FaultSimulator fsim(faultcore_lev(state.range(0)));
+  testref::SerialFaultSimulator ref(faultcore_lev(state.range(0)));
   const auto faults = tpg::enumerate_faults(core.netlist);
   Rng rng(3);
   const auto patterns =
-      tpg::PatternSet::random(fsim.pattern_width(), 8, rng);
+      tpg::PatternSet::random(ref.pattern_width(), 8, rng);
   for (auto _ : state) {
-    const auto report = fsim.run_serial(patterns, faults);
+    const auto report = ref.run(patterns, faults);
     benchmark::DoNotOptimize(report.detected);
   }
   state.counters["faults"] = static_cast<double>(faults.size());

@@ -17,12 +17,10 @@
 /// instead of the batch adapter: jobs are submitted while the workers run
 /// (throttled by --queue-capacity) and results are printed as they
 /// complete, in arrival order. --cache sets the per-worker program-cache
-/// capacity (0 disables). --sim-threads / --sched-threads set each job's
-/// golden-response precompute and branch-and-bound scheduling thread
-/// pools (pure engine knobs; 0 = one per hardware thread). --summary
-/// additionally prints the deterministic aggregate summary — the text
-/// that is guaranteed byte-identical for any worker count, batch or
-/// streaming, cache on or off, any engine-thread counts, at a fixed seed.
+/// capacity (0 disables). Each job runs on the thread of the worker that
+/// picked it up. --summary additionally prints the deterministic
+/// aggregate summary — the text that is guaranteed byte-identical for any
+/// worker count, batch or streaming, cache on or off, at a fixed seed.
 ///
 /// Telemetry (docs/OBSERVABILITY.md):
 ///   --stats-json FILE       write the final FloorStats snapshot as
@@ -70,8 +68,7 @@ constexpr const char* kOptionsHelp =
     " [--scenario-mix scan:4,bist:2,hier:1,maint:1]"
     " [--strategy single|per_core|greedy|phased|exact|branch_bound]"
     " [--patterns-per-ff K] [--queue-capacity Q] [--cache C]"
-    " [--sim-threads T] [--sched-threads T] [--stream]"
-    " [--summary]"
+    " [--stream] [--summary]"
     " [--stats-json FILE] [--trace FILE] [--stats-interval-ms N]"
     " [--health] [--health-interval-ms N] [--watchdog-ms N]"
     " [--incident-dir DIR] [--health-json FILE]";
@@ -249,10 +246,6 @@ int main(int argc, char** argv) {
         config.queue_capacity = std::stoul(cli.value());
       else if (cli.is("--cache"))
         config.cache_capacity = std::stoul(cli.value());
-      else if (cli.is("--sim-threads"))
-        config.sim_threads = std::stoul(cli.value());
-      else if (cli.is("--sched-threads"))
-        config.sched_threads = std::stoul(cli.value());
       else if (cli.is("--stream")) stream = cli.boolean();
       else if (cli.is("--summary")) summary = cli.boolean();
       else if (cli.is("--stats-json")) telemetry.stats_json = cli.value();
@@ -302,7 +295,7 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "test floor: " << jobs << " jobs, "
-            << effective_workers(config.workers)
+            << casbus::effective_workers(config.workers)
             << " worker(s), seed " << seed
             << (stream || telemetry.any() ? ", streaming" : ", batch");
   if (config.queue_capacity)

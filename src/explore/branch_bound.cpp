@@ -10,6 +10,7 @@
 
 #include "sched/exact.hpp"
 #include "sched/lower_bound.hpp"
+#include "util/threads.hpp"
 
 namespace casbus::explore {
 
@@ -477,12 +478,8 @@ void Search::rebalance(BranchBoundResult& result) {
 BranchBoundResult Search::run() {
   BranchBoundResult result;
 
-  const std::size_t threads =
-      config_.threads != 0
-          ? config_.threads
-          : std::max(1u, std::thread::hardware_concurrency());
-  shards_ = config_.deterministic ? kDetShards
-                                  : std::max<std::size_t>(threads, 1);
+  const std::size_t threads = effective_workers(config_.threads);
+  shards_ = config_.deterministic ? kDetShards : threads;
   heaps_.assign(shards_, OpenHeap{});
 
   // Incumbent seeding: a bound-greedy completion from the empty prefix

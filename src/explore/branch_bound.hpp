@@ -37,10 +37,9 @@
 /// round structure are independent of the thread count, workers compute
 /// pure functions of round-start snapshots, and the merge is serial — so
 /// the incumbent schedule, optimality verdict, certified lower bound and
-/// all counters are byte-identical at any `threads` value. That is what
-/// makes `threads` safe to exclude from floor cache keys (see
-/// floor::JobSimOptions). Non-deterministic mode trades this for eager
-/// lock-free incumbent publication (atomic min) and live pruning.
+/// all counters are byte-identical at any `threads` value.
+/// Non-deterministic mode trades this for eager lock-free incumbent
+/// publication (atomic min) and live pruning.
 
 #pragma once
 

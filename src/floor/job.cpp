@@ -149,8 +149,7 @@ tpg::SyntheticCoreSpec job_core_spec(Rng& rng, std::size_t chains) {
 /// the worker's cache — then execute cycle-accurately.
 void run_scheduled(const JobSpec& spec, bool with_engines, Rng& rng,
                    ProgramCache* cache, bool verify,
-                   const JobSimOptions& sim, const JobTelemetry& obs,
-                   JobResult& result) {
+                   const JobTelemetry& obs, JobResult& result) {
   StageTimer timer(result, obs);
 
   // ---- Stage: Build -------------------------------------------------------
@@ -206,7 +205,7 @@ void run_scheduled(const JobSpec& spec, bool with_engines, Rng& rng,
     sched::ScheduleStats sched_stats;
     fresh->schedule =
         sched::schedule_with(fresh->specs, soc->bus().width(), spec.strategy,
-                             &sched_stats, sim.sched_threads);
+                             &sched_stats);
     result.engine.sched_nodes_expanded = sched_stats.nodes_expanded;
     result.engine.sched_prunes = sched_stats.prunes;
     result.engine.sched_improvements = sched_stats.incumbent_improvements;
@@ -227,7 +226,7 @@ void run_scheduled(const JobSpec& spec, bool with_engines, Rng& rng,
   }
 
   // ---- Stage: Simulate ----------------------------------------------------
-  soc::SocTester tester(*soc, soc::TesterOptions{sim.sim_threads});
+  soc::SocTester tester(*soc);
   const soc::ScheduleRunReport report =
       soc::run_program(*soc, tester, *program);
   harvest_tester(tester, result);
@@ -250,8 +249,7 @@ void run_scheduled(const JobSpec& spec, bool with_engines, Rng& rng,
 /// (charged to the Compile stage) and predicted directly with the time
 /// model.
 void run_hierarchical(const JobSpec& spec, Rng& rng, bool verify,
-                      const JobSimOptions& sim, const JobTelemetry& obs,
-                      JobResult& result) {
+                      const JobTelemetry& obs, JobResult& result) {
   StageTimer timer(result, obs);
 
   // ---- Stage: Build -------------------------------------------------------
@@ -269,7 +267,7 @@ void run_hierarchical(const JobSpec& spec, Rng& rng, bool verify,
                                 static_cast<unsigned>(children),
                                 std::move(child_specs));
   auto soc = builder.build();
-  soc::SocTester tester(*soc, soc::TesterOptions{sim.sim_threads});
+  soc::SocTester tester(*soc);
   timer.finish(Stage::Build);
 
   // ---- Stage: Compile (hand-assembled session) ----------------------------
@@ -327,8 +325,7 @@ void run_hierarchical(const JobSpec& spec, Rng& rng, bool verify,
 /// verdict, clean scan responses, and zero traffic read-back errors. The
 /// interleaved mission/test windows are all charged to Simulate.
 void run_maintenance(const JobSpec& spec, Rng& rng, bool verify,
-                     const JobSimOptions& sim, const JobTelemetry& obs,
-                     JobResult& result) {
+                     const JobTelemetry& obs, JobResult& result) {
   StageTimer timer(result, obs);
 
   // ---- Stage: Build -------------------------------------------------------
@@ -341,7 +338,7 @@ void run_maintenance(const JobSpec& spec, Rng& rng, bool verify,
   auto soc = builder.build();
 
   soc::MemoryTraffic traffic(*soc, 1, rng.next());
-  soc::SocTester tester(*soc, soc::TesterOptions{sim.sim_threads});
+  soc::SocTester tester(*soc);
   soc::MemoryCore& ram = soc->cores()[0].as_memory();
   timer.finish(Stage::Build);
 
@@ -483,7 +480,7 @@ void emit_job_telemetry(const JobTelemetry& obs, const JobResult& result,
 }  // namespace
 
 JobResult run_job(const JobSpec& spec, ProgramCache* cache, bool verify,
-                  JobSimOptions sim, const JobTelemetry& obs) noexcept {
+                  const JobTelemetry& obs) noexcept {
   const std::uint64_t job_start_us =
       obs.trace != nullptr ? obs.trace->now_us() : 0;
 
@@ -507,18 +504,18 @@ JobResult run_job(const JobSpec& spec, ProgramCache* cache, bool verify,
     Rng rng(spec.seed);
     switch (spec.scenario) {
       case ScenarioKind::ScanOnly:
-        run_scheduled(spec, /*with_engines=*/false, rng, cache, verify,
-                      sim, obs, result);
+        run_scheduled(spec, /*with_engines=*/false, rng, cache, verify, obs,
+                      result);
         break;
       case ScenarioKind::BistJoin:
-        run_scheduled(spec, /*with_engines=*/true, rng, cache, verify,
-                      sim, obs, result);
+        run_scheduled(spec, /*with_engines=*/true, rng, cache, verify, obs,
+                      result);
         break;
       case ScenarioKind::Hierarchical:
-        run_hierarchical(spec, rng, verify, sim, obs, result);
+        run_hierarchical(spec, rng, verify, obs, result);
         break;
       case ScenarioKind::Maintenance:
-        run_maintenance(spec, rng, verify, sim, obs, result);
+        run_maintenance(spec, rng, verify, obs, result);
         break;
     }
     // Clean runs qualify the recipe for verdict reuse; errors never do

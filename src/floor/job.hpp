@@ -186,25 +186,6 @@ struct JobResult {
 
 class ProgramCache;
 
-/// Simulation-engine options forwarded to a job's private SocTester
-/// (soc::TesterOptions carries the full contract). Both thread counts are
-/// pure optimisations: every deterministic JobResult field is
-/// byte-identical for any combination, so they are excluded from
-/// JobSpec::cache_key — a cached program/verdict is valid under any
-/// engine configuration.
-struct JobSimOptions {
-  /// Threads for precomputing a session's golden responses (1 = inline,
-  /// 0 = one per hardware thread). Responses depend only on (core,
-  /// pattern), so the thread count cannot change any result.
-  std::size_t sim_threads = 1;
-  /// Threads for the Schedule stage's branch-and-bound search when the
-  /// spec selects Strategy::BranchBound (1 = serial, 0 = one per hardware
-  /// thread; other strategies ignore it). The search runs in
-  /// deterministic mode, so the schedule is byte-identical at any thread
-  /// count — which is what keeps this knob out of JobSpec::cache_key.
-  std::size_t sched_threads = 1;
-};
-
 /// Observability hooks handed to run_job by the floor (all optional —
 /// value-default means "telemetry off", and every instrument site guards
 /// on the null pointers, so the disabled cost is a pointer test).
@@ -247,7 +228,7 @@ struct JobTelemetry {
 /// runs with telemetry off. Spans and counters are emitted per executed
 /// stage — a verdict-tier hit emits none (no stage ran).
 [[nodiscard]] JobResult run_job(const JobSpec& spec, ProgramCache* cache,
-                                bool verify = true, JobSimOptions sim = {},
+                                bool verify = true,
                                 const JobTelemetry& obs = {}) noexcept;
 
 /// Cache-less convenience overload.

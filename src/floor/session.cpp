@@ -194,10 +194,7 @@ void FloorSession::worker_main(std::size_t worker) {
                                                                   start_)
                 .count()),
         std::memory_order_relaxed);
-    JobResult result =
-        run_job(job->spec, cache_ptr, config_.verify,
-                JobSimOptions{config_.sim_threads, config_.sched_threads},
-                obs);
+    JobResult result = run_job(job->spec, cache_ptr, config_.verify, obs);
     const auto end = std::chrono::steady_clock::now();
     job_start_us_[worker].store(kWorkerIdle, std::memory_order_relaxed);
     result.wall_seconds =

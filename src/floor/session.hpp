@@ -27,10 +27,8 @@
 /// off, and to an equivalent batch TestFloor::run over the same list.
 /// Caches cannot break this because compilation is pure (see job.hpp);
 /// stealing cannot because results land by slot, never by completion.
-/// The engine knobs (sim_threads, sched_threads) cannot either: both are
-/// pure optimisations of the Simulate / Schedule stages
-/// (see JobSimOptions in job.hpp and the measured cost model in
-/// docs/PERFORMANCE.md).
+/// Parallelism comes from `workers` alone: each job runs every stage on
+/// the thread of the worker that popped it.
 
 #pragma once
 
@@ -51,18 +49,9 @@
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
+#include "util/threads.hpp"
 
 namespace casbus::floor {
-
-/// Resolves a requested worker count: 0 means one per hardware thread
-/// (std::thread::hardware_concurrency, itself clamped to >= 1). The one
-/// place the 0-means-auto policy lives.
-[[nodiscard]] inline std::size_t effective_workers(
-    std::size_t requested) noexcept {
-  if (requested != 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
 
 struct FloorConfig {
   /// Worker threads; 0 means one per hardware thread (effective_workers).
@@ -81,20 +70,6 @@ struct FloorConfig {
   /// without simulating. Cheap (µs per job) — disable only to measure its
   /// cost or to force a known-bad design through the tester.
   bool verify = true;
-  /// Golden-response precompute threads inside each job's Simulate stage
-  /// (JobSimOptions::sim_threads; 1 = inline, 0 = one per hardware
-  /// thread). Multiplies with `workers` — prefer sim_threads > 1 when a
-  /// floor runs few, simulation-heavy jobs, and workers > 1 when it runs
-  /// many. Cannot change any deterministic result or the
-  /// deterministic_summary() text.
-  std::size_t sim_threads = 1;
-  /// Branch-and-bound search threads inside each job's Schedule stage
-  /// (JobSimOptions::sched_threads; 1 = serial, 0 = one per hardware
-  /// thread; only Strategy::BranchBound jobs use it). Same multiplication
-  /// trade-off as sim_threads. The search runs deterministically, so this
-  /// cannot change any deterministic result or the
-  /// deterministic_summary() text either.
-  std::size_t sched_threads = 1;
   /// Enables the metrics registry (src/obs/): per-thread-sharded counters
   /// and stage-latency histograms, surfaced by stats_snapshot(). Pure
   /// observation — cannot change any deterministic result or the

@@ -5,6 +5,8 @@
 #include <thread>
 #include <utility>
 
+#include "util/threads.hpp"
+
 namespace casbus::netlist {
 
 FaultSim::FaultSim(Netlist nl)
@@ -121,12 +123,8 @@ FaultCampaignReport run_fault_campaign(
   report.first_detect_pattern.assign(faults.size(), -1);
   if (faults.empty() || pattern_count == 0) return report;
 
-  std::size_t threads = opts.threads;
-  if (threads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = hw == 0 ? 1 : hw;
-  }
-  threads = std::min(threads, faults.size());
+  const std::size_t threads =
+      std::min(effective_workers(opts.threads), faults.size());
 
   // One worker grades the contiguous shard [lo, hi): a private engine over
   // the shared immutable levelization, all patterns in order, fault

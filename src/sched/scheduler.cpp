@@ -39,8 +39,8 @@ Strategy strategy_from_name(std::string_view name) {
   return Strategy::Greedy;  // unreachable
 }
 
-Schedule SessionScheduler::schedule_with(Strategy s, ScheduleStats* stats,
-                                         std::size_t sched_threads) const {
+Schedule SessionScheduler::schedule_with(Strategy s,
+                                         ScheduleStats* stats) const {
   switch (s) {
     case Strategy::Single: return single_session();
     case Strategy::PerCore: return per_core_sessions();
@@ -53,11 +53,8 @@ Schedule SessionScheduler::schedule_with(Strategy s, ScheduleStats* stats,
       return exact_schedule(*this, 12, /*compute_heuristic_gap=*/false)
           .schedule;
     case Strategy::BranchBound: {
-      explore::BranchBoundConfig bb;
-      bb.threads = sched_threads;  // deterministic mode stays on: the
-                                   // schedule must not depend on threads
       const explore::BranchBoundResult result =
-          explore::BranchBoundScheduler(*this, bb).run();
+          explore::BranchBoundScheduler(*this).run();
       if (stats != nullptr) {
         stats->nodes_expanded = result.nodes_expanded;
         stats->prunes = result.prunes;
@@ -73,10 +70,8 @@ Schedule SessionScheduler::schedule_with(Strategy s, ScheduleStats* stats,
 }
 
 Schedule schedule_with(const std::vector<CoreTestSpec>& cores,
-                       unsigned bus_width, Strategy s, ScheduleStats* stats,
-                       std::size_t sched_threads) {
-  return SessionScheduler(cores, bus_width)
-      .schedule_with(s, stats, sched_threads);
+                       unsigned bus_width, Strategy s, ScheduleStats* stats) {
+  return SessionScheduler(cores, bus_width).schedule_with(s, stats);
 }
 
 SessionScheduler::SessionScheduler(std::vector<CoreTestSpec> cores,

@@ -142,14 +142,8 @@ class SessionScheduler {
   /// Strategy::BranchBound runs the default-budget branch-and-bound and
   /// always returns a chip-synchronous partition schedule. A non-null
   /// \p stats receives the strategy's search-effort counters.
-  /// \p sched_threads drives the branch-and-bound search's worker pool
-  /// (1 = serial, 0 = one per hardware thread) and is ignored by every
-  /// other strategy; the search runs in deterministic mode, so the
-  /// returned Schedule is byte-identical at any thread count — which is
-  /// what keeps this entry point memoizable (see the free overload).
   [[nodiscard]] Schedule schedule_with(Strategy s,
-                                       ScheduleStats* stats = nullptr,
-                                       std::size_t sched_threads = 1) const;
+                                       ScheduleStats* stats = nullptr) const;
 
   /// Cycles to reconfigure between sessions on this SoC (every CAS IR plus
   /// the wrapper ring). Computed once at construction — it depends only on
@@ -178,15 +172,12 @@ class SessionScheduler {
 
 /// Pure-function form of SessionScheduler::schedule_with: builds the
 /// scheduler and dispatches in one call. Because the result is a
-/// deterministic function of exactly (\p cores, \p bus_width, \p s) —
-/// \p sched_threads is an engine knob that cannot change it (the
-/// branch-and-bound search runs deterministically) — this is the
-/// memoizable scheduling entry point: the floor's per-worker program
-/// caches (src/floor/) key compiled programs on a digest of those three
-/// inputs and reuse the returned Schedule byte-for-byte.
+/// deterministic function of exactly (\p cores, \p bus_width, \p s),
+/// this is the memoizable scheduling entry point: the floor's per-worker
+/// program caches (src/floor/) key compiled programs on a digest of those
+/// three inputs and reuse the returned Schedule byte-for-byte.
 [[nodiscard]] Schedule schedule_with(const std::vector<CoreTestSpec>& cores,
                                      unsigned bus_width, Strategy s,
-                                     ScheduleStats* stats = nullptr,
-                                     std::size_t sched_threads = 1);
+                                     ScheduleStats* stats = nullptr);
 
 }  // namespace casbus::sched

@@ -1,10 +1,7 @@
 #include "soc/tester.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <exception>
-#include <thread>
 
 #include "core/config_protocol.hpp"
 #include "util/rng.hpp"
@@ -14,8 +11,7 @@ namespace casbus::soc {
 using tam::InstructionSet;
 using tam::SwitchScheme;
 
-SocTester::SocTester(Soc& soc, TesterOptions options)
-    : soc_(soc), options_(options) {}
+SocTester::SocTester(Soc& soc) : soc_(soc) {}
 
 tpg::FaultSimulator& SocTester::golden_for(const CoreRef& ref) {
   auto it = golden_.find(ref);
@@ -38,19 +34,14 @@ tpg::FaultSimulator& SocTester::golden_for(const CoreRef& ref) {
 
 const BitVector& SocTester::expected_response(const CoreRef& ref,
                                               const BitVector& pattern) {
-  // find-then-emplace so the concurrent precompute path (which pre-creates
-  // every per-core entry serially) never mutates the outer map.
-  memo_lookups_.fetch_add(1, std::memory_order_relaxed);
-  auto mit = golden_cache_.find(ref);
-  if (mit == golden_cache_.end())
-    mit = golden_cache_.emplace(ref, decltype(mit->second){}).first;
-  std::unordered_map<std::string, BitVector>& cache = mit->second;
+  ++memo_lookups_;
+  std::unordered_map<std::string, BitVector>& cache = golden_cache_[ref];
   const std::string key = pattern.to_string();
   auto it = cache.find(key);
   if (it == cache.end()) {
     it = cache.emplace(key, golden_for(ref).good_response(pattern)).first;
   } else {
-    memo_hits_.fetch_add(1, std::memory_order_relaxed);
+    ++memo_hits_;
   }
   return it->second;
 }
@@ -334,78 +325,29 @@ ScanSessionResult SocTester::run_scan_session(const ScanSession& session) {
   }
 
   // --- 5. Golden models ------------------------------------------------------
+  // Every golden response of the session, precomputed. The good machine is
+  // read-only, so responses depend only on (core, pattern) and are
+  // memoised in golden_cache_ across sessions.
   std::size_t max_patterns = 0;
-  for (const ScanTarget& target : session.targets) {
+  std::vector<std::vector<const BitVector*>> expected_all(
+      session.targets.size());
+  const auto precompute_start = std::chrono::steady_clock::now();
+  for (std::size_t t = 0; t < session.targets.size(); ++t) {
+    const ScanTarget& target = session.targets[t];
     max_patterns = std::max(max_patterns, target.patterns.size());
-    // Create the simulator and its response cache up front (serially):
-    // the precompute below then only touches per-core state.
-    (void)golden_for(target.core);
-    golden_cache_[target.core];
     CASBUS_REQUIRE(
         target.patterns.empty() ||
             target.patterns.width() == synth_of(target.core).spec.n_flipflops,
         "scan patterns must have one bit per flip-flop");
+    expected_all[t].resize(target.patterns.size());
+    for (std::size_t r = 0; r < target.patterns.size(); ++r)
+      expected_all[t][r] =
+          &expected_response(target.core, target.patterns.at(r));
   }
-
-  // Precompute every golden response of the session. The good machine is
-  // read-only, so responses depend only on (core, pattern) — memoised in
-  // golden_cache_ across sessions — and target cores shard cleanly across
-  // options_.sim_threads workers (each core's engine and cache are touched
-  // by exactly one worker; results are identical for any thread count).
-  std::vector<std::vector<const BitVector*>> expected_all(
-      session.targets.size());
-  {
-    const auto precompute_start = std::chrono::steady_clock::now();
-    std::map<CoreRef, std::vector<std::size_t>> targets_of_core;
-    for (std::size_t t = 0; t < session.targets.size(); ++t)
-      targets_of_core[session.targets[t].core].push_back(t);
-    std::vector<std::vector<std::size_t>> shards;
-    shards.reserve(targets_of_core.size());
-    for (auto& [core, ts] : targets_of_core) shards.push_back(ts);
-
-    const auto run_shard = [&](const std::vector<std::size_t>& ts) {
-      for (const std::size_t t : ts) {
-        const ScanTarget& target = session.targets[t];
-        expected_all[t].resize(target.patterns.size());
-        for (std::size_t r = 0; r < target.patterns.size(); ++r)
-          expected_all[t][r] =
-              &expected_response(target.core, target.patterns.at(r));
-      }
-    };
-
-    std::size_t workers = options_.sim_threads;
-    if (workers == 0) {
-      const unsigned hw = std::thread::hardware_concurrency();
-      workers = hw == 0 ? 1 : hw;
-    }
-    workers = std::min(workers, shards.size());
-    if (workers <= 1) {
-      for (const auto& shard : shards) run_shard(shard);
-    } else {
-      std::atomic<std::size_t> next{0};
-      std::vector<std::exception_ptr> errors(workers);
-      std::vector<std::thread> pool;
-      pool.reserve(workers);
-      for (std::size_t w = 0; w < workers; ++w) {
-        pool.emplace_back([&, w] {
-          try {
-            for (std::size_t i = next.fetch_add(1); i < shards.size();
-                 i = next.fetch_add(1))
-              run_shard(shards[i]);
-          } catch (...) {
-            errors[w] = std::current_exception();
-          }
-        });
-      }
-      for (std::thread& th : pool) th.join();
-      for (const std::exception_ptr& e : errors)
-        if (e) std::rethrow_exception(e);
-    }
-    precompute_seconds_ += std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() -
-                               precompute_start)
-                               .count();
-  }
+  precompute_seconds_ +=
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    precompute_start)
+          .count();
 
   result.targets.resize(session.targets.size());
   for (std::size_t t = 0; t < session.targets.size(); ++t)

@@ -9,7 +9,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -23,15 +22,6 @@
 #include "tpg/patterns.hpp"
 
 namespace casbus::soc {
-
-/// Simulation-engine knob of a SocTester (docs/PERFORMANCE.md). A pure
-/// optimisation: every session result is byte-identical for any value,
-/// because golden responses depend only on (core netlist, pattern).
-struct TesterOptions {
-  /// Worker threads for precomputing a scan session's golden responses
-  /// (sharded per target core; 1 = inline, 0 = one per hardware thread).
-  std::size_t sim_threads = 1;
-};
 
 /// Addresses a core: a top-level index, optionally a child inside a
 /// hierarchical core (one nesting level, as in paper Fig. 2d).
@@ -156,11 +146,7 @@ struct KernelStats {
 /// Drives a Soc through complete test programs.
 class SocTester {
  public:
-  explicit SocTester(Soc& soc, TesterOptions options = {});
-
-  [[nodiscard]] const TesterOptions& options() const noexcept {
-    return options_;
-  }
+  explicit SocTester(Soc& soc);
 
   /// Full-chip reset (power-on state).
   void reset();
@@ -225,17 +211,15 @@ class SocTester {
   // here feeds back into any result.
 
   /// Golden-response memo probes / probes served without simulating.
-  /// Atomic because the threaded precompute path calls expected_response
-  /// concurrently (one thread per core shard).
   [[nodiscard]] std::uint64_t memo_lookups() const noexcept {
-    return memo_lookups_.load(std::memory_order_relaxed);
+    return memo_lookups_;
   }
   [[nodiscard]] std::uint64_t memo_hits() const noexcept {
-    return memo_hits_.load(std::memory_order_relaxed);
+    return memo_hits_;
   }
 
   /// Wall time spent in run_scan_session's golden-response precompute
-  /// blocks (threaded or inline), summed over the tester's lifetime.
+  /// blocks, summed over the tester's lifetime.
   [[nodiscard]] double precompute_seconds() const noexcept {
     return precompute_seconds_;
   }
@@ -279,17 +263,15 @@ class SocTester {
                                                    const BitVector& pattern);
 
   Soc& soc_;
-  TesterOptions options_;
   /// Golden-model simulators per scan core, created lazily.
   std::map<CoreRef, std::unique_ptr<tpg::FaultSimulator>> golden_;
   /// Cached golden responses per core, keyed by pattern bits.
   std::map<CoreRef, std::unordered_map<std::string, BitVector>>
       golden_cache_;
-  /// Memo traffic (see memo_lookups()); relaxed atomics, written from the
-  /// precompute worker threads.
-  std::atomic<std::uint64_t> memo_lookups_{0};
-  std::atomic<std::uint64_t> memo_hits_{0};
-  /// Precompute wall time; written only by the session-running thread.
+  /// Memo traffic (see memo_lookups()).
+  std::uint64_t memo_lookups_ = 0;
+  std::uint64_t memo_hits_ = 0;
+  /// Precompute wall time (see precompute_seconds()).
   double precompute_seconds_ = 0.0;
 };
 

@@ -5,7 +5,6 @@
 
 namespace casbus::tpg {
 
-using netlist::CellId;
 using netlist::Netlist;
 
 std::vector<Fault> enumerate_faults(const Netlist& nl) {
@@ -17,8 +16,8 @@ FaultSimulator::FaultSimulator(Netlist nl)
 
 FaultSimulator::FaultSimulator(
     std::shared_ptr<const netlist::LevelizedNetlist> lev)
-    : sim_(lev), packed_(std::move(lev)) {
-  for (std::size_t i = 0; i < sim_.design().inputs().size(); ++i)
+    : packed_(std::move(lev)) {
+  for (std::size_t i = 0; i < nl().inputs().size(); ++i)
     free_inputs_.push_back(i);
 }
 
@@ -58,40 +57,10 @@ void FaultSimulator::apply_pattern(const BitVector& pattern) {
   load_pattern(packed_, pattern);
 }
 
-std::vector<int> FaultSimulator::simulate(const BitVector& pattern,
-                                          const Fault* fault) {
-  CASBUS_REQUIRE(pattern.size() == pattern_width(),
-                 "FaultSimulator: pattern width mismatch");
-  sim_.clear_forces();
-  if (fault != nullptr)
-    sim_.set_force(fault->net, to_logic(fault->stuck_one));
-
-  for (const auto& [idx, val] : pinned_)
-    sim_.set_input_index(idx, to_logic(val));
-  for (std::size_t i = 0; i < free_inputs_.size(); ++i)
-    sim_.set_input_index(free_inputs_[i], to_logic(pattern.get(i)));
-  for (std::size_t i = 0; i < dffs().size(); ++i)
-    sim_.set_dff_state(i, to_logic(pattern.get(free_inputs_.size() + i)));
-
-  sim_.eval();
-
-  std::vector<int> response;
-  response.reserve(response_width());
-  const auto push = [&](Logic4 v) {
-    response.push_back(v == Logic4::Zero ? 0 : v == Logic4::One ? 1 : -1);
-  };
-  for (std::size_t i = 0; i < nl().outputs().size(); ++i)
-    push(sim_.output_index(i));
-  // Flip-flop next-states: the D pin values after settling.
-  for (const CellId id : dffs()) push(sim_.net_value(nl().cell(id).in[0]));
-  return response;
-}
-
 BitVector FaultSimulator::good_response(const BitVector& pattern) {
-  // Packed path: the engine's observation order (primary outputs, then
-  // DFF D pins) matches simulate()'s response layout bit for bit, and one
-  // 64-lane sweep costs about what one scalar GateSim pass does. The
-  // scalar path survives in run_serial() as the equivalence reference.
+  // The engine's observation order (primary outputs, then DFF D pins) is
+  // the response layout, and one 64-lane sweep costs about what one
+  // scalar GateSim pass does.
   apply_pattern(pattern);
   const std::vector<int>& r = packed_.good_response();
   BitVector out(r.size());
@@ -137,7 +106,7 @@ FaultSimReport FaultSimulator::run(const PatternSet& patterns,
     load_pattern(engine, patterns.at(p));
   };
   const netlist::FaultCampaignReport campaign = netlist::run_fault_campaign(
-      sim_.levelized(), faults, patterns.size(), loader, opts);
+      packed_.levelized(), faults, patterns.size(), loader, opts);
 
   FaultSimReport report;
   report.total_faults = faults.size();
@@ -149,32 +118,6 @@ FaultSimReport FaultSimulator::run(const PatternSet& patterns,
     report.detected_mask[f] = true;
     ++report.per_pattern[static_cast<std::size_t>(
         campaign.first_detect_pattern[f])];
-  }
-  return report;
-}
-
-FaultSimReport FaultSimulator::run_serial(const PatternSet& patterns,
-                                          const std::vector<Fault>& faults) {
-  FaultSimReport report;
-  report.total_faults = faults.size();
-  report.detected_mask.assign(faults.size(), false);
-  report.per_pattern.assign(patterns.size(), 0);
-
-  for (std::size_t p = 0; p < patterns.size(); ++p) {
-    const BitVector& pat = patterns.at(p);
-    const std::vector<int> good = simulate(pat, nullptr);
-    for (std::size_t f = 0; f < faults.size(); ++f) {
-      if (report.detected_mask[f]) continue;  // fault dropping
-      const std::vector<int> bad = simulate(pat, &faults[f]);
-      for (std::size_t i = 0; i < good.size(); ++i) {
-        if (good[i] >= 0 && bad[i] >= 0 && good[i] != bad[i]) {
-          report.detected_mask[f] = true;
-          ++report.detected;
-          ++report.per_pattern[p];
-          break;
-        }
-      }
-    }
   }
   return report;
 }

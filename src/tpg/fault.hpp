@@ -8,10 +8,10 @@
 ///
 /// Fault grading runs on the bit-parallel netlist::FaultSim engine: each
 /// levelized pass simulates 64 faulty machines at once, so a campaign costs
-/// ~(faults/64 + 1) evals per pattern instead of 2*faults. The pre-packed
-/// serial path is kept as run_serial() — it is the reference the
-/// equivalence tests and the BM_FaultSim/BM_FaultSim64 benchmark pair
-/// compare against.
+/// ~(faults/64 + 1) evals per pattern instead of 2*faults. The serial
+/// one-machine-at-a-time reference lives with the tests
+/// (tests/serial_fault_sim.hpp); the equivalence tests and the
+/// BM_FaultSim/BM_FaultSim64 benchmark pair compare against it.
 
 #pragma once
 
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "netlist/faultsim.hpp"
-#include "netlist/gatesim.hpp"
 #include "netlist/netlist.hpp"
 #include "tpg/patterns.hpp"
 #include "util/bitvector.hpp"
@@ -61,8 +60,8 @@ struct FaultSimReport {
 /// pin_input().
 class FaultSimulator {
  public:
-  /// Takes its own copy of the design (move in to avoid the copy); the
-  /// design is levelized once and shared by the scalar and packed engines.
+  /// Takes its own copy of the design (move in to avoid the copy) and
+  /// levelizes it once.
   explicit FaultSimulator(netlist::Netlist nl);
 
   /// Shares an existing levelization (a campaign over one design needs a
@@ -112,12 +111,6 @@ class FaultSimulator {
   FaultSimReport run(const PatternSet& patterns,
                      const std::vector<Fault>& faults, std::size_t threads);
 
-  /// Reference implementation: one faulty machine at a time through the
-  /// scalar GateSim. Same report as run(); ~100x slower. Kept for the
-  /// equivalence tests and as the benchmark baseline.
-  FaultSimReport run_serial(const PatternSet& patterns,
-                            const std::vector<Fault>& faults);
-
  private:
   /// Loads \p pattern into any packed engine over the shared levelization
   /// (pinned + free inputs, DFFs). Read-only on this simulator, so the
@@ -128,19 +121,16 @@ class FaultSimulator {
   /// Loads \p pattern into the embedded packed engine.
   void apply_pattern(const BitVector& pattern);
 
-  /// Applies pattern, evals, returns response values (may contain X as -1).
-  std::vector<int> simulate(const BitVector& pattern,
-                            const Fault* fault);
-
-  /// The simulated design (owned by the embedded simulator).
-  [[nodiscard]] const netlist::Netlist& nl() const { return sim_.design(); }
+  /// The simulated design (owned by the shared levelization).
+  [[nodiscard]] const netlist::Netlist& nl() const {
+    return packed_.design();
+  }
 
   /// Sequential cells, in the shared levelization's canonical order.
   [[nodiscard]] const std::vector<netlist::CellId>& dffs() const {
-    return sim_.levelized()->dff_cells();
+    return packed_.levelized()->dff_cells();
   }
 
-  netlist::GateSim sim_;        // scalar reference engine
   netlist::FaultSim packed_;    // 64-wide campaign engine (shared netlist)
   std::vector<std::size_t> free_inputs_;  // indices into nl.inputs()
   std::vector<std::pair<std::size_t, bool>> pinned_;

@@ -7,16 +7,19 @@
 /// mutators must show on the next settle() without a clock edge. The
 /// shift plan (a settle under scan_en = 1 covers only the chain cells) is
 /// checked in lock-step against an unplanned GateSim on random netlists,
-/// and at SoC level against full-sweep references and stuck-at faults.
+/// and at SoC level against full-sweep references and stuck-at faults —
+/// on chain nets, and on cloud nets graded by the packed fault simulator.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "core/cas_generator.hpp"
 #include "core/instruction.hpp"
 #include "netlist/builder.hpp"
+#include "netlist/faultsim.hpp"
 #include "netlist/gatesim.hpp"
 #include "netlist/packed_gatesim.hpp"
 #include "soc/schedule_runner.hpp"
@@ -437,6 +440,22 @@ std::unique_ptr<soc::Soc> two_core_soc() {
   return soc;
 }
 
+/// The stuck-at oracles' session on two_core_soc(): alpha on wire 0 and
+/// beta on wires 1 and 2, four random patterns each.
+soc::ScanSession two_core_session(const soc::Soc& soc) {
+  Rng rng(21);
+  const auto patterns = [&](std::size_t core) {
+    return tpg::PatternSet::random(
+        soc.cores()[core].as_scan().synth().spec.n_flipflops, 4, rng);
+  };
+  soc::ScanSession session;
+  session.targets.push_back(
+      soc::ScanTarget{soc::CoreRef{0, std::nullopt}, {0}, patterns(0)});
+  session.targets.push_back(
+      soc::ScanTarget{soc::CoreRef{1, std::nullopt}, {1, 2}, patterns(1)});
+  return session;
+}
+
 TEST(KernelBackdoors, GateForceShowsOnScanOutWithoutAClock) {
   auto soc = two_core_soc();
   sim::Simulation& sim = soc->simulation();
@@ -683,16 +702,8 @@ TEST(ShiftPlanOracle, StuckChainNetsFailTheScanSession) {
       ASSERT_NE(net, netlist::kNoNet);
       beta.gatesim().set_force(net, v);
 
-      Rng rng(21);
-      soc::ScanSession session;
-      session.targets.push_back(soc::ScanTarget{
-          soc::CoreRef{0, std::nullopt}, {0},
-          tpg::PatternSet::random(soc->cores()[0].as_scan().synth().spec
-                                      .n_flipflops, 4, rng)});
-      session.targets.push_back(soc::ScanTarget{
-          soc::CoreRef{1, std::nullopt}, {1, 2},
-          tpg::PatternSet::random(synth.spec.n_flipflops, 4, rng)});
-      const soc::ScanSessionResult r = tester.run_scan_session(session);
+      const soc::ScanSessionResult r =
+          tester.run_scan_session(two_core_session(*soc));
       const std::string what = std::string(on_mux ? "mux" : "ff_q") +
                                " stuck at " + to_char(v);
       EXPECT_EQ(r.targets[0].mismatches, 0u) << what;
@@ -701,6 +712,76 @@ TEST(ShiftPlanOracle, StuckChainNetsFailTheScanSession) {
       for (const soc::ScanDiagnosis& d : r.targets[1].diagnoses)
         named = named || d.flipflop == ff;
       EXPECT_TRUE(named) << what;
+    }
+  }
+}
+
+/// The cloud-net half of the stuck-at oracle: the packed fault simulator
+/// grades every stuck-at fault of beta's combinational cloud against the
+/// session's patterns (flip-flop next-states observed, inputs pinned to 0
+/// as SocTester::golden_for pins them). Forced through beta's GateSim, a
+/// detected fault must make beta's target record mismatches, and an
+/// undetected one must leave it clean; alpha stays clean either way.
+TEST(ShiftPlanOracle, CloudFaultsGradedByFaultSimFailTheScanSession) {
+  // Cloud nets: driven by a combinational cell other than a scan mux (the
+  // cell on a flip-flop's D pin). Inputs, flip-flop outputs and scan muxes
+  // are left out; the test above covers the chain nets.
+  const auto reference = two_core_soc();
+  const netlist::Netlist& nl = reference->cores()[1].as_scan().synth().netlist;
+  std::vector<bool> cloud(nl.net_count(), false);
+  for (const netlist::Cell& c : nl.cells())
+    if (!netlist::is_sequential(c.kind)) cloud[c.out] = true;
+  for (const netlist::Cell& c : nl.cells())
+    if (netlist::is_sequential(c.kind)) cloud[c.in[0]] = false;
+  std::vector<netlist::StuckAtFault> faults;
+  for (const netlist::StuckAtFault& f : netlist::enumerate_stuck_at_faults(nl))
+    if (cloud[f.net]) faults.push_back(f);
+  ASSERT_GT(faults.size(), 100u);
+
+  netlist::FaultSim grader(nl);
+  grader.set_observation(/*outputs=*/false, /*dff_next_states=*/true);
+  std::vector<bool> detected(faults.size(), false);
+  const tpg::PatternSet patterns =
+      two_core_session(*reference).targets[1].patterns;
+  for (std::size_t p = 0; p < patterns.size(); ++p) {
+    for (std::size_t i = 0; i < grader.input_count(); ++i)
+      grader.set_input_index(i, Logic4::Zero);
+    for (std::size_t f = 0; f < grader.dff_count(); ++f)
+      grader.set_dff_state(f, to_logic(patterns.at(p).get(f)));
+    (void)grader.detect_all(faults, detected);
+  }
+
+  // A spread sample of each kind keeps the test to a few dozen sessions.
+  constexpr std::size_t kPerKind = 12;
+  std::vector<std::size_t> hit, miss;
+  for (std::size_t f = 0; f < faults.size(); ++f)
+    (detected[f] ? hit : miss).push_back(f);
+  ASSERT_GE(hit.size(), kPerKind);
+  const auto sample = [](const std::vector<std::size_t>& all) {
+    std::vector<std::size_t> out;
+    const std::size_t stride = std::max<std::size_t>(1, all.size() / kPerKind);
+    for (std::size_t i = 0; i < all.size() && out.size() < kPerKind;
+         i += stride)
+      out.push_back(all[i]);
+    return out;
+  };
+
+  for (const bool expect_fail : {true, false}) {
+    for (const std::size_t f : sample(expect_fail ? hit : miss)) {
+      auto soc = two_core_soc();
+      soc::SocTester tester(*soc);
+      soc->cores()[1].as_scan().gatesim().set_force(
+          faults[f].net, to_logic(faults[f].stuck_one));
+      const soc::ScanSessionResult r =
+          tester.run_scan_session(two_core_session(*soc));
+      const std::string what = "net " + std::to_string(faults[f].net) +
+                               " stuck at " +
+                               (faults[f].stuck_one ? "1" : "0");
+      EXPECT_EQ(r.targets[0].mismatches, 0u) << what;
+      if (expect_fail)
+        EXPECT_GT(r.targets[1].mismatches, 0u) << what;
+      else
+        EXPECT_EQ(r.targets[1].mismatches, 0u) << what;
     }
   }
 }

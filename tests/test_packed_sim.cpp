@@ -19,6 +19,7 @@
 #include "netlist/faultsim.hpp"
 #include "netlist/gatesim.hpp"
 #include "netlist/packed_gatesim.hpp"
+#include "serial_fault_sim.hpp"
 #include "tpg/fault.hpp"
 #include "tpg/synthcore.hpp"
 #include "util/logic_word.hpp"
@@ -439,13 +440,15 @@ TEST(FaultSimulator, PackedRunMatchesSerialRun) {
 
   tpg::FaultSimulator fsim(core.netlist);
   fsim.pin_input("scan_en", false);
+  testref::SerialFaultSimulator ref(core.netlist);
+  ref.pin_input("scan_en", false);
   const auto faults = tpg::enumerate_faults(core.netlist);
 
   Rng rng(17);
   const auto patterns = tpg::PatternSet::random(fsim.pattern_width(), 12, rng);
 
   const tpg::FaultSimReport packed = fsim.run(patterns, faults);
-  const tpg::FaultSimReport serial = fsim.run_serial(patterns, faults);
+  const tpg::FaultSimReport serial = ref.run(patterns, faults);
 
   EXPECT_EQ(packed.total_faults, serial.total_faults);
   EXPECT_EQ(packed.detected, serial.detected);
@@ -464,6 +467,7 @@ TEST(FaultSimulator, DetectsAgreesWithSerialCriterion) {
   const tpg::SyntheticCore core = tpg::make_synthetic_core(spec);
 
   tpg::FaultSimulator fsim(core.netlist);
+  testref::SerialFaultSimulator ref(core.netlist);
   const auto faults = tpg::enumerate_faults(core.netlist);
   Rng rng(23);
   const auto patterns = tpg::PatternSet::random(fsim.pattern_width(), 3, rng);
@@ -476,7 +480,7 @@ TEST(FaultSimulator, DetectsAgreesWithSerialCriterion) {
       tpg::PatternSet single(patterns.width());
       single.add(patterns.at(p));
       const auto serial =
-          fsim.run_serial(single, std::vector<tpg::Fault>{faults[f]});
+          ref.run(single, std::vector<tpg::Fault>{faults[f]});
       EXPECT_EQ(fsim.detects(patterns.at(p), faults[f]),
                 serial.detected == 1)
           << "pattern " << p << " fault " << f;

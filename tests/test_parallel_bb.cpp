@@ -300,21 +300,24 @@ TEST(ParallelBB, FreeModeStillFindsTheOptimum) {
                   .clean());
 }
 
-// schedule_with plumbing: the sched_threads argument reaches the engine
-// and cannot change the deterministic result.
-TEST(ParallelBB, ScheduleWithThreadsMatchesSerial) {
+// schedule_with's BranchBound dispatch returns the default-config
+// search's schedule and copies its effort counters into ScheduleStats.
+TEST(ParallelBB, ScheduleWithReportsSearchCounters) {
   const GeneratedSoc soc = SocGenerator(29).generate(40, SocProfile::Mixed);
-  const sched::Schedule serial =
-      sched::schedule_with(soc.cores, soc.suggested_width,
-                           sched::Strategy::BranchBound);
+  const sched::SessionScheduler s(soc.cores, soc.suggested_width);
+  const BranchBoundResult direct = BranchBoundScheduler(s).run();
   sched::ScheduleStats stats;
-  const sched::Schedule threaded =
+  const sched::Schedule via =
       sched::schedule_with(soc.cores, soc.suggested_width,
-                           sched::Strategy::BranchBound, &stats, 4);
-  EXPECT_EQ(threaded.total_cycles, serial.total_cycles);
-  EXPECT_EQ(threaded.sessions.size(), serial.sessions.size());
+                           sched::Strategy::BranchBound, &stats);
+  EXPECT_EQ(via.total_cycles, direct.schedule.total_cycles);
+  EXPECT_EQ(via.sessions.size(), direct.schedule.sessions.size());
+  EXPECT_EQ(stats.nodes_expanded, direct.nodes_expanded);
+  EXPECT_EQ(stats.prunes, direct.prunes);
+  EXPECT_EQ(stats.incumbent_improvements, direct.incumbent_improvements);
+  EXPECT_EQ(stats.leaves_priced, direct.leaves_priced);
+  EXPECT_EQ(stats.balances, direct.balances);
   EXPECT_GT(stats.nodes_expanded, 0u);
-  EXPECT_GT(stats.leaves_priced, 0u);
   EXPECT_GT(stats.balances, 0u);
 }
 

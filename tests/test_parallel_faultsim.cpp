@@ -3,16 +3,12 @@
 ///   - netlist::run_fault_campaign detection maps byte-identical at
 ///     1/2/8 threads (detected bytes, first-detect pattern indices),
 ///   - tpg::FaultSimulator::run(patterns, faults, threads) equal to the
-///     single-threaded run() for every thread count,
-///   - floor deterministic_summary() unchanged with sim_threads > 1.
+///     single-threaded run() for every thread count.
 
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
-#include "floor/job_factory.hpp"
-#include "floor/test_floor.hpp"
 #include "netlist/faultsim.hpp"
 #include "tpg/fault.hpp"
 #include "tpg/patterns.hpp"
@@ -94,24 +90,6 @@ TEST(FaultSimulator, ThreadedRunMatchesSingleThreadedRun) {
     EXPECT_EQ(r.detected_mask, reference.detected_mask)
         << threads << " threads";
     EXPECT_EQ(r.per_pattern, reference.per_pattern) << threads << " threads";
-  }
-}
-
-// --- floor-level determinism with the engine knobs --------------------------
-
-TEST(Floor, DeterministicSummaryUnchangedBySimThreads) {
-  const floor::JobFactory factory(20260807);
-  const auto jobs = factory.make_jobs(8);
-
-  std::string reference;
-  for (const std::size_t sim_threads : {1u, 4u}) {
-    floor::FloorConfig config;
-    config.workers = 2;
-    config.sim_threads = sim_threads;
-    const floor::FloorReport report = floor::TestFloor(config).run(jobs);
-    if (reference.empty()) reference = report.deterministic_summary();
-    EXPECT_EQ(report.deterministic_summary(), reference)
-        << "sim_threads=" << sim_threads;
   }
 }
 
