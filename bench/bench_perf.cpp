@@ -14,6 +14,7 @@
 #include "core/config_protocol.hpp"
 #include "core/test_bus.hpp"
 #include "explore/branch_bound.hpp"
+#include "explore/explorer.hpp"
 #include "explore/soc_generator.hpp"
 #include "netlist/faultsim.hpp"
 #include "netlist/gatesim.hpp"
@@ -433,6 +434,20 @@ void BM_BranchBound1000(benchmark::State& state) {
   state.counters["memo_hits"] = static_cast<double>(result.term_memo_hits);
 }
 BENCHMARK(BM_BranchBound1000);
+
+/// One warm design-space sweep of the 1000-core mixed SoC (SocGenerator
+/// seed 1): default widths and strategies, so greedy, phased and branch
+/// and bound at three widths plus the bus areas. Generation is hoisted
+/// out of the loop; the first iteration warms the process-wide CAS-area
+/// memo, so the measured sweeps synthesize nothing.
+void BM_ExploreSweep1000(benchmark::State& state) {
+  const explore::DesignSpaceExplorer explorer(
+      explore::SocGenerator(1).generate(1000, explore::SocProfile::Mixed));
+  benchmark::DoNotOptimize(explorer.sweep().points.size());
+  for (auto _ : state)
+    benchmark::DoNotOptimize(explorer.sweep().points.size());
+}
+BENCHMARK(BM_ExploreSweep1000);
 
 /// One grouped chain balance (LPT pass; the polish stops at 96 items) of
 /// every scan chain of the 1000-core mixed SoC on a 32-wire bus — the

@@ -68,6 +68,22 @@ struct ItemResult {
   Offer leaf;  ///< set for kLeaf items
   Offer dive;  ///< set when RoundItem::dive
   sched::ScanTerms terms;  ///< pricing effort, terms new to the memo
+
+  /// Empties the slot for the next round; children keeps its capacity.
+  void clear() {
+    children.clear();
+    prunes = 0;
+    leaf = Offer{};
+    dive = Offer{};
+    terms = sched::ScanTerms{};
+  }
+};
+
+/// Per-worker prefix buffers, reused across every expansion one thread
+/// runs, so an expansion allocates nothing but the children it keeps.
+struct Scratch {
+  std::vector<GroupBound> bounds;
+  std::vector<std::uint64_t> bound_of;
 };
 
 class Search {
@@ -78,11 +94,21 @@ class Search {
         config_(config),
         width_(scheduler.width()),
         reconfig_(scheduler.reconfig_cost()) {
-    for (std::size_t i = 0; i < scheduler.cores().size(); ++i) {
-      if (scheduler.cores()[i].is_scan())
+    // Each core's bound summary and single-core session bound (the
+    // core_session_lower_bound of every core), derived once: expansions
+    // and greedy completions merge summaries instead of walking chains.
+    const std::size_t n = scheduler.cores().size();
+    std::vector<GroupBound> summary_of(n);
+    std::vector<std::uint64_t> solo_of(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (core(i).is_scan()) {
         scan_.push_back(i);
-      else
+        summary_of[i].add(core(i));
+        solo_of[i] = summary_of[i].scan_lower_bound(width_);
+      } else {
         bist_.push_back(i);
+        solo_of[i] = core(i).bist_cycles;
+      }
     }
     CASBUS_REQUIRE(scan_.size() < 65535,
                    "BranchBoundScheduler: too many scan cores");
@@ -92,15 +118,16 @@ class Search {
     // is what lets the dominance rule below recognize them.
     std::stable_sort(scan_.begin(), scan_.end(),
                      [&](std::size_t a, std::size_t b) {
-                       const std::uint64_t la =
-                           core_session_lower_bound(core(a), width_);
-                       const std::uint64_t lb =
-                           core_session_lower_bound(core(b), width_);
-                       if (la != lb) return la > lb;
+                       if (solo_of[a] != solo_of[b])
+                         return solo_of[a] > solo_of[b];
                        if (core(a).patterns != core(b).patterns)
                          return core(a).patterns > core(b).patterns;
                        return core(a).chains > core(b).chains;
                      });
+    for (const std::size_t c : scan_) {
+      summary_.push_back(summary_of[c]);
+      solo_.push_back(solo_of[c]);
+    }
     // Dominance between interchangeable cores: a scan core with the same
     // chain geometry and pattern budget as its predecessor prices
     // identically in every session, so only assignments where it lands in
@@ -113,16 +140,25 @@ class Search {
           core(scan_[i]).chains == core(scan_[i - 1]).chains &&
           core(scan_[i]).patterns == core(scan_[i - 1]).patterns);
 
-    max_single_ = 0;
-    for (const CoreTestSpec& c : scheduler.cores())
-      max_single_ =
-          std::max(max_single_, core_session_lower_bound(c, width_));
+    const std::uint64_t max_single =
+        *std::max_element(solo_of.begin(), solo_of.end());
     // Two floors on the summed session maxima share the reconfiguration
     // term: wire-time conservation and the BIST chunking pigeonhole.
-    work_bound_ =
+    const std::uint64_t work_bound =
         std::max((sched::total_wire_work(scheduler.cores()) + width_ - 1) /
                      width_,
                  sched::bist_chunk_bound(scheduler.cores(), width_));
+    // bound()'s group-count terms, tabulated for every count a prefix can
+    // reach (at most one group per scan core).
+    for (std::size_t g = 0; g <= scan_.size(); ++g) {
+      overflow_cost_.push_back(
+          reconfig_ *
+          sched::partition_overflow_floor(g, bist_.size(), width_));
+      floor_.push_back(std::max(
+          work_bound + reconfig_ * sched::partition_session_floor(
+                                       g, bist_.size(), width_),
+          max_single + reconfig_));
+    }
   }
 
   BranchBoundResult run();
@@ -138,12 +174,7 @@ class Search {
   /// sched/lower_bound.hpp, including the partition-model session floors
   /// that charge for the sessions the BIST engines still force).
   std::uint64_t bound(std::uint64_t structural, std::size_t groups) const {
-    return std::max(
-        {structural + reconfig_ * sched::partition_overflow_floor(
-                                      groups, bist_.size(), width_),
-         work_bound_ + reconfig_ * sched::partition_session_floor(
-                                       groups, bist_.size(), width_),
-         max_single_ + reconfig_});
+    return std::max(structural + overflow_cost_[groups], floor_[groups]);
   }
 
   /// Rebuilds the group assignment of the first node->depth cores.
@@ -168,31 +199,35 @@ class Search {
     std::vector<GroupBound> bounds(groups_used);
     for (std::size_t i = 0; i < group_of.size(); ++i) {
       groups[group_of[i]].push_back(scan_[i]);
-      bounds[group_of[i]].add(core(scan_[i]));
+      bounds[group_of[i]].add(summary_[i]);
     }
+    // Each group's current scan_lower_bound, updated as it grows.
+    std::vector<std::uint64_t> lower(groups_used);
+    for (std::size_t g = 0; g < groups_used; ++g)
+      lower[g] = bounds[g].scan_lower_bound(width_);
     for (std::size_t i = group_of.size(); i < scan_.size(); ++i) {
-      const CoreTestSpec& c = core(scan_[i]);
-      GroupBound alone;
-      alone.add(c);
-      std::uint64_t best_delta =
-          alone.scan_lower_bound(width_) + reconfig_;
+      std::uint64_t best_delta = solo_[i] + reconfig_;
+      std::uint64_t best_lower = solo_[i];
       std::size_t best_group = groups.size();
       for (std::size_t g = 0; g < groups.size(); ++g) {
         GroupBound joined = bounds[g];
-        joined.add(c);
-        const std::uint64_t delta = joined.scan_lower_bound(width_) -
-                                    bounds[g].scan_lower_bound(width_);
+        joined.add(summary_[i]);
+        const std::uint64_t joined_lower = joined.scan_lower_bound(width_);
+        const std::uint64_t delta = joined_lower - lower[g];
         if (delta < best_delta) {
           best_delta = delta;
+          best_lower = joined_lower;
           best_group = g;
         }
       }
       if (best_group == groups.size()) {
         groups.push_back({scan_[i]});
-        bounds.push_back(alone);
+        bounds.push_back(summary_[i]);
+        lower.push_back(best_lower);
       } else {
         groups[best_group].push_back(scan_[i]);
-        bounds[best_group].add(c);
+        bounds[best_group].add(summary_[i]);
+        lower[best_group] = best_lower;
       }
     }
     return groups;
@@ -259,14 +294,14 @@ class Search {
   // --- round work (parallel phase; pure w.r.t. round-start state) --------
 
   void price_leaf(const RoundItem& item, ItemResult& r);
-  void expand(const RoundItem& item, ItemResult& r) const;
+  void expand(const RoundItem& item, ItemResult& r, Scratch& scratch) const;
   void run_dive(const RoundItem& item, ItemResult& r);
 
   /// Claims and processes batch items until the round is drained. Run by
   /// every pool thread and the caller; items are claimed via an atomic
   /// cursor, results land at the item's own index, so work distribution
   /// cannot affect the merged outcome.
-  void drain_batch() {
+  void drain_batch(Scratch& scratch) {
     for (;;) {
       const std::size_t i = claim_.fetch_add(1, std::memory_order_relaxed);
       if (i >= batch_.size()) return;
@@ -275,7 +310,7 @@ class Search {
       if (item.kind == ItemKind::kLeaf)
         price_leaf(item, r);
       else
-        expand(item, r);
+        expand(item, r, scratch);
       if (item.dive) run_dive(item, r);
     }
   }
@@ -292,8 +327,11 @@ class Search {
   std::uint64_t reconfig_;
   std::vector<std::size_t> scan_, bist_;
   std::vector<char> same_as_prev_;
-  std::uint64_t work_bound_ = 0;
-  std::uint64_t max_single_ = 0;
+  std::vector<GroupBound> summary_;  ///< per scan core, in search order
+  std::vector<std::uint64_t> solo_;  ///< its single-core scan bound
+  /// Per group count g: reconfig * partition_overflow_floor(g), and the
+  /// larger of the work and single-core floors for g groups.
+  std::vector<std::uint64_t> overflow_cost_, floor_;
 
   std::vector<Node> arena_;
   std::size_t shards_ = 1;
@@ -332,25 +370,29 @@ void Search::price_leaf(const RoundItem& item, ItemResult& r) {
   if (!config_.deterministic) publish(r.leaf.total);
 }
 
-void Search::expand(const RoundItem& item, ItemResult& r) const {
+void Search::expand(const RoundItem& item, ItemResult& r,
+                    Scratch& scratch) const {
   const std::uint64_t cut = cutoff();
   const Node node = arena_[item.id];
 
-  // Rebuild the prefix state (group membership + incremental bounds).
-  const std::vector<std::uint16_t> group_of = assignment_of(item.id);
-  const std::size_t depth = group_of.size();
+  // Rebuild the prefix's group bounds from the parent chain: one O(1)
+  // summary merge per assigned core (merges commute, so walking the
+  // prefix backwards yields the same aggregates).
+  const std::size_t depth = node.depth;
   const std::size_t groups_used = node.groups_used;
-  std::vector<GroupBound> bounds(groups_used);
-  std::vector<std::uint64_t> bound_of(groups_used, 0);
+  std::vector<GroupBound>& bounds = scratch.bounds;
+  std::vector<std::uint64_t>& bound_of = scratch.bound_of;
+  bounds.assign(groups_used, GroupBound{});
+  bound_of.resize(groups_used);
+  for (const Node* n = &node; n->depth > 0; n = &arena_[n->parent])
+    bounds[n->group].add(summary_[n->depth - 1]);
   std::uint64_t structural = 0;
-  for (std::size_t i = 0; i < depth; ++i)
-    bounds[group_of[i]].add(core(scan_[i]));
   for (std::size_t g = 0; g < groups_used; ++g) {
     bound_of[g] = bounds[g].scan_lower_bound(width_) + reconfig_;
     structural += bound_of[g];
   }
 
-  const CoreTestSpec& next = core(scan_[depth]);
+  const GroupBound& next = summary_[depth];
   // Dominance: a core interchangeable with its predecessor never goes to
   // an earlier group than the predecessor did.
   const std::size_t g_min =
@@ -517,15 +559,17 @@ BranchBoundResult Search::run() {
   // Worker pool: persistent threads, two-phase barrier per round. The
   // caller is participant 0, so `threads == 1` never spawns.
   std::atomic<bool> quit{false};
+  Scratch scratch;
   std::barrier<> start_gate(static_cast<std::ptrdiff_t>(threads));
   std::barrier<> finish_gate(static_cast<std::ptrdiff_t>(threads));
   std::vector<std::thread> pool;
   for (std::size_t t = 1; t < threads; ++t) {
     pool.emplace_back([&] {
+      Scratch own;
       for (;;) {
         start_gate.arrive_and_wait();
         if (quit.load(std::memory_order_acquire)) return;
-        drain_batch();
+        drain_batch(own);
         finish_gate.arrive_and_wait();
       }
     });
@@ -548,14 +592,17 @@ BranchBoundResult Search::run() {
       }
       break;
     }
-    results_.assign(batch_.size(), ItemResult{});
+    // Reuse the earlier rounds' result slots: clearing keeps each
+    // children buffer's capacity.
+    if (results_.size() < batch_.size()) results_.resize(batch_.size());
+    for (std::size_t i = 0; i < batch_.size(); ++i) results_[i].clear();
     claim_.store(0, std::memory_order_relaxed);
     if (!pool.empty()) {
       start_gate.arrive_and_wait();
-      drain_batch();
+      drain_batch(scratch);
       finish_gate.arrive_and_wait();
     } else {
-      drain_batch();
+      drain_batch(scratch);
     }
     merge_round(result);
     rebalance(result);

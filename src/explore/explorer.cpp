@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cmath>
 #include <map>
+#include <mutex>
+#include <utility>
 
 #include "core/arrangement.hpp"
 #include "core/cas_generator.hpp"
@@ -29,7 +31,7 @@ double arrangements(unsigned n, unsigned p) {
 /// instruction space is small enough; otherwise the Table 1 trend
 /// extrapolation (optimized synthesis lands at ~2.5 GE per instruction
 /// plus the instruction register and per-wire muxing).
-double cas_area_ge(unsigned n, unsigned p) {
+double cas_area_uncached(unsigned n, unsigned p) {
   const double a = arrangements(n, p);
   const unsigned k = sched::cas_ir_bits(n, p);
   if (a <= kGateLevelArrangementCap) {
@@ -38,6 +40,24 @@ double cas_area_ge(unsigned n, unsigned p) {
     return netlist::AreaModel::typical().total(cas.netlist);
   }
   return 2.5 * a + 7.0 * k + 3.0 * n;
+}
+
+/// cas_area_uncached, memoized for the process: the area is a pure
+/// function of (n, p), and a sweep only ever asks for a few port counts
+/// per width. The lock is never held while synthesizing; two racing
+/// misses compute the same value and the first insert wins.
+double cas_area_ge(unsigned n, unsigned p) {
+  static std::mutex mutex;
+  static std::map<std::pair<unsigned, unsigned>, double> table;
+  const std::pair<unsigned, unsigned> key{n, p};
+  {
+    const std::lock_guard<std::mutex> lock(mutex);
+    const auto it = table.find(key);
+    if (it != table.end()) return it->second;
+  }
+  const double area = cas_area_uncached(n, p);
+  const std::lock_guard<std::mutex> lock(mutex);
+  return table.emplace(key, area).first->second;
 }
 
 /// §3.3 pass-transistor CAS in GE, analytic at any geometry (mirrors
@@ -72,28 +92,17 @@ const ExplorePoint* ExploreReport::best_time() const {
 
 double DesignSpaceExplorer::bus_area_ge(
     const std::vector<sched::CoreTestSpec>& cores, unsigned width) {
-  std::map<unsigned, double> memo;  // cores share port counts
   double total = 0.0;
-  for (const sched::CoreTestSpec& core : cores) {
-    const unsigned p = ports_of(core, width);
-    auto it = memo.find(p);
-    if (it == memo.end()) it = memo.emplace(p, cas_area_ge(width, p)).first;
-    total += it->second;
-  }
+  for (const sched::CoreTestSpec& core : cores)
+    total += cas_area_ge(width, ports_of(core, width));
   return total;
 }
 
 double DesignSpaceExplorer::bus_pass_transistor_ge(
     const std::vector<sched::CoreTestSpec>& cores, unsigned width) {
-  std::map<unsigned, double> memo;
   double total = 0.0;
-  for (const sched::CoreTestSpec& core : cores) {
-    const unsigned p = ports_of(core, width);
-    auto it = memo.find(p);
-    if (it == memo.end())
-      it = memo.emplace(p, cas_pass_transistor_ge(width, p)).first;
-    total += it->second;
-  }
+  for (const sched::CoreTestSpec& core : cores)
+    total += cas_pass_transistor_ge(width, ports_of(core, width));
   return total;
 }
 

@@ -67,7 +67,8 @@ class DesignSpaceExplorer {
   /// Total CAS-BUS area for \p cores on a \p width-wire bus, in gate
   /// equivalents. Small geometries are generated gate-level and measured
   /// with netlist::area (bit-exact with the Table 1 pipeline, memoized per
-  /// port count); geometries whose instruction space is too large to
+  /// (width, ports) for the process, so repeated sweeps synthesize each
+  /// CAS once); geometries whose instruction space is too large to
   /// synthesize use the documented Table 1 trend extrapolation — which is
   /// the honest answer anyway: nobody tapes out a 2^64-instruction
   /// decoder, and the exploding estimate is exactly the §3.2 overhead

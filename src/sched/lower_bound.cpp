@@ -12,12 +12,6 @@ void GroupBound::add(const CoreTestSpec& core) {
   max_patterns = std::max(max_patterns, core.patterns);
 }
 
-std::uint64_t GroupBound::scan_lower_bound(unsigned width) const {
-  CASBUS_REQUIRE(width >= 1, "GroupBound: width must be >= 1");
-  const std::size_t spread = (sum_bits + width - 1) / width;
-  return scan_cycles(std::max(longest_chain, spread), max_patterns);
-}
-
 std::uint64_t core_session_lower_bound(const CoreTestSpec& core,
                                        unsigned width) {
   if (!core.is_scan()) return core.bist_cycles;

@@ -12,7 +12,11 @@
 
 #pragma once
 
+#include <algorithm>
+
 #include "sched/scheduler.hpp"
+#include "sched/time_model.hpp"
+#include "util/error.hpp"
 
 namespace casbus::sched {
 
@@ -26,12 +30,25 @@ struct GroupBound {
 
   void add(const CoreTestSpec& core);
 
+  /// Merges another group's aggregates in O(1): adding a core's own
+  /// summary equals add(core), and merges commute, so a search can keep
+  /// one summary per core and rebuild any group in any order.
+  void add(const GroupBound& other) {
+    sum_bits += other.sum_bits;
+    longest_chain = std::max(longest_chain, other.longest_chain);
+    max_patterns = std::max(max_patterns, other.max_patterns);
+  }
+
   /// Lower bound on the scan term of any session containing (at least)
   /// these cores on at most \p width wires. Admissible versus
   /// SessionScheduler pricing: the real session balances on
   /// width - #BIST wires (fewer), with the grouped-placement constraint
   /// (tighter), so its max load can only be larger.
-  [[nodiscard]] std::uint64_t scan_lower_bound(unsigned width) const;
+  [[nodiscard]] std::uint64_t scan_lower_bound(unsigned width) const {
+    CASBUS_REQUIRE(width >= 1, "GroupBound: width must be >= 1");
+    const std::size_t spread = (sum_bits + width - 1) / width;
+    return scan_cycles(std::max(longest_chain, spread), max_patterns);
+  }
 };
 
 /// Lower bound on any session that tests \p core — alone or with

@@ -175,6 +175,68 @@ TEST(BranchBound, BudgetedSearchReportsACertifiedGap) {
                               soc.cores, s.width(), s.reconfig_cost()));
 }
 
+TEST(BranchBound, ThousandCoreResultsPinned) {
+  // Seed-1 1000-core SoC of every profile at the sweep's default widths,
+  // default budget, one thread. The values were recorded before the
+  // search's prefix bookkeeping was rewritten around per-core bound
+  // summaries; any change to expansion order, bounds, dives or pricing
+  // shows up here as a moved counter.
+  struct Pinned {
+    SocProfile profile;
+    unsigned width;
+    std::uint64_t best_cost, lower_bound, nodes_expanded, prunes, dives,
+        incumbent_improvements, rebalances, balances, term_memo_hits;
+  };
+  const Pinned pinned[] = {
+      {SocProfile::Mixed, 16, 94096456, 47729117, 50000, 0, 16, 3, 0, 303,
+       853},
+      {SocProfile::Mixed, 32, 69025017, 23906549, 50000, 0, 16, 5, 0, 524,
+       664},
+      {SocProfile::Mixed, 64, 47017391, 11962354, 50000, 0, 16, 4, 0, 993,
+       939},
+      {SocProfile::ScanHeavy, 16, 314109170, 244233211, 50000, 0, 16, 4, 0,
+       115, 258},
+      {SocProfile::ScanHeavy, 32, 204222360, 122131126, 50000, 0, 16, 3, 0,
+       99, 355},
+      {SocProfile::ScanHeavy, 64, 126548399, 61085739, 50000, 0, 16, 4, 0,
+       113, 379},
+      {SocProfile::BistHeavy, 16, 211415040, 23349456, 50000, 0, 16, 3, 0,
+       1227, 898},
+      {SocProfile::BistHeavy, 32, 176295024, 11707518, 50000, 0, 16, 7, 0,
+       2609, 572},
+      {SocProfile::BistHeavy, 64, 145018409, 5881488, 50000, 0, 16, 4, 0,
+       3832, 362},
+      {SocProfile::Hierarchical, 16, 97142521, 69155988, 50000, 4, 16, 2, 0,
+       91, 176},
+      {SocProfile::Hierarchical, 32, 52140237, 34581817, 50000, 1725, 16, 4,
+       0, 72, 259},
+      {SocProfile::Hierarchical, 64, 28347308, 22316319, 50000, 46624, 16, 1,
+       0, 222, 99},
+  };
+  for (const Pinned& want : pinned) {
+    const GeneratedSoc soc = SocGenerator(1).generate(1000, want.profile);
+    ASSERT_TRUE(want.width == soc.suggested_width / 2 ||
+                want.width == soc.suggested_width ||
+                want.width == soc.suggested_width * 2)
+        << soc.name;
+    const sched::SessionScheduler s(soc.cores, want.width);
+    BranchBoundConfig config;
+    config.threads = 1;
+    const BranchBoundResult bb = BranchBoundScheduler(s, config).run();
+    const std::string at = soc.name + " @" + std::to_string(want.width);
+    EXPECT_EQ(bb.best_cost, want.best_cost) << at;
+    EXPECT_EQ(bb.schedule.total_cycles, want.best_cost) << at;
+    EXPECT_EQ(bb.lower_bound, want.lower_bound) << at;
+    EXPECT_EQ(bb.nodes_expanded, want.nodes_expanded) << at;
+    EXPECT_EQ(bb.prunes, want.prunes) << at;
+    EXPECT_EQ(bb.dives, want.dives) << at;
+    EXPECT_EQ(bb.incumbent_improvements, want.incumbent_improvements) << at;
+    EXPECT_EQ(bb.rebalances, want.rebalances) << at;
+    EXPECT_EQ(bb.balances, want.balances) << at;
+    EXPECT_EQ(bb.term_memo_hits, want.term_memo_hits) << at;
+  }
+}
+
 TEST(BranchBound, PureBistInstanceIsTriviallyOptimal) {
   std::vector<sched::CoreTestSpec> cores = {
       {"a", {}, 0, 4000}, {"b", {}, 0, 2000}, {"c", {}, 0, 1000}};

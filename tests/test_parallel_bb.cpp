@@ -3,14 +3,22 @@
 // across every generator profile, admissibility of the partition-model
 // bounds (session floor, overflow floor, BIST chunk bound) against an
 // exhaustive partition enumeration, and lint-clean parallel schedules.
+// Also the explorer's process-wide CAS-area memo, which concurrent sweeps
+// share.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <thread>
 #include <vector>
 
+#include "core/arrangement.hpp"
+#include "core/cas_generator.hpp"
 #include "explore/branch_bound.hpp"
+#include "explore/explorer.hpp"
 #include "explore/soc_generator.hpp"
+#include "netlist/area.hpp"
 #include "sched/exact.hpp"
 #include "sched/lower_bound.hpp"
 #include "sched/scheduler.hpp"
@@ -319,6 +327,60 @@ TEST(ParallelBB, ScheduleWithReportsSearchCounters) {
   EXPECT_EQ(stats.balances, direct.balances);
   EXPECT_GT(stats.nodes_expanded, 0u);
   EXPECT_GT(stats.balances, 0u);
+}
+
+// The CAS-area memo lives for the process, so each (width, ports) pair is
+// read cold here first: these widths appear in no other test of this
+// binary. Below the 4096-instruction cap the memoized area is the
+// synthesized netlist's; above it, the Table 1 trend extrapolation. Warm
+// reads return the same double.
+TEST(Explorer, CasAreaMemoMatchesSynthesis) {
+  struct Geometry {
+    unsigned n, p;
+    bool synthesized;
+  };
+  const Geometry geometries[] = {
+      {5, 1, true},   {5, 3, true},  {7, 2, true},   {9, 4, true},
+      {10, 4, false}, {11, 3, true}, {11, 4, false}, {13, 5, false},
+      {16, 3, true},  {16, 4, false},
+  };
+  for (const Geometry& g : geometries) {
+    const std::vector<sched::CoreTestSpec> one = {
+        scan_core("c", g.p, 16, 10)};
+    const double a = std::exp2(tam::log2_arrangement_count(g.n, g.p));
+    ASSERT_EQ(a <= 4096.0, g.synthesized) << g.n << "," << g.p;
+    const double want =
+        g.synthesized
+            ? netlist::AreaModel::typical().total(
+                  tam::generate_cas(
+                      g.n, g.p,
+                      {tam::CasImplementation::OptimizedGateLevel, true})
+                      .netlist)
+            : 2.5 * a + 7.0 * sched::cas_ir_bits(g.n, g.p) + 3.0 * g.n;
+    const double cold = DesignSpaceExplorer::bus_area_ge(one, g.n);
+    const double warm = DesignSpaceExplorer::bus_area_ge(one, g.n);
+    EXPECT_EQ(cold, want) << g.n << "," << g.p;
+    EXPECT_EQ(warm, want) << g.n << "," << g.p;
+  }
+
+  // Four threads race cold misses over one SoC's widths; every thread's
+  // totals, and a serial warm re-read, must agree exactly.
+  const GeneratedSoc soc = SocGenerator(31).generate(120, SocProfile::Mixed);
+  const std::vector<unsigned> widths = {15, 17, 19};
+  std::vector<std::vector<double>> totals(4);
+  std::vector<std::thread> threads;
+  for (std::vector<double>& mine : totals)
+    threads.emplace_back([&soc, &widths, &mine] {
+      for (const unsigned w : widths)
+        mine.push_back(DesignSpaceExplorer::bus_area_ge(soc.cores, w));
+    });
+  for (std::thread& t : threads) t.join();
+  for (std::size_t i = 0; i < widths.size(); ++i) {
+    const double serial = DesignSpaceExplorer::bus_area_ge(soc.cores,
+                                                           widths[i]);
+    for (const std::vector<double>& mine : totals)
+      EXPECT_EQ(mine[i], serial) << "width " << widths[i];
+  }
 }
 
 }  // namespace
