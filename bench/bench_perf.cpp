@@ -414,6 +414,26 @@ void BM_GreedySchedule(benchmark::State& state) {
 }
 BENCHMARK(BM_GreedySchedule);
 
+/// Phased session scheduling at explorer scale: the scan cores of the
+/// 1000-core mixed SoC (SocGenerator seed 1) on a 32-wire bus. phased()
+/// cuts each phase's chain set out of the previous one and places it, so
+/// an iteration is ~490 placements of 2438 down to a few chains and little
+/// else. The BIST cores are left out: with them phased() parks 31 engines
+/// on the bus and places every phase on the one wire left, where placement
+/// is trivial. Generation and the SessionScheduler build are hoisted out
+/// of the loop.
+void BM_PhasedSchedule1000(benchmark::State& state) {
+  const explore::GeneratedSoc soc =
+      explore::SocGenerator(1).generate(1000, explore::SocProfile::Mixed);
+  std::vector<sched::CoreTestSpec> scan;
+  for (const sched::CoreTestSpec& c : soc.cores)
+    if (c.is_scan() && c.bist_cycles == 0) scan.push_back(c);
+  const sched::SessionScheduler s(scan, 32);
+  for (auto _ : state) benchmark::DoNotOptimize(s.phased().total_cycles);
+  state.counters["sessions"] = static_cast<double>(s.phased().sessions.size());
+}
+BENCHMARK(BM_PhasedSchedule1000);
+
 /// Branch and bound at explorer scale: the 1000-core bist_heavy SoC
 /// (SocGenerator seed 1) on a 64-wire bus, default budget, one thread —
 /// the sweep point whose seed, dives and BIST slotting balance most.

@@ -184,6 +184,38 @@ ChainSet::ChainSet(const std::vector<ChainItem>& items) {
   }
 }
 
+namespace {
+
+/// One thread's working tables for cutting, placing and polishing chain
+/// sets. Sets are shared read-only across threads, so the tables cannot
+/// live in a set; each call resizes and clears them, which reallocates
+/// nothing once warm.
+struct Scratch {
+  // place()
+  std::vector<std::uint64_t> taken;     ///< per slot, a bitset of held wires
+  std::vector<std::size_t> unplaced;    ///< per slot, chains still to place
+  std::vector<std::uint64_t> by_load;   ///< (load, wire) keys, ascending
+  // polish()
+  std::vector<std::size_t> length;      ///< by insertion index
+  std::vector<std::uint32_t> slot_of;   ///< by insertion index
+  std::vector<std::uint32_t> held;      ///< slot x wire item counts
+  // refined_max_load()
+  std::vector<unsigned> wire_of_item;
+  std::vector<std::size_t> wire_load;
+  // suffix()
+  std::vector<std::uint32_t> renumber;  ///< old slot -> new slot
+};
+
+Scratch& scratch() {
+  thread_local Scratch s;
+  return s;
+}
+
+static_assert(sizeof(std::size_t) == sizeof(std::uint64_t),
+              "a key packs a load and a wire into one 64-bit word");
+
+}  // namespace
+
 ChainSet ChainSet::merged(const ChainSet& tail) const {
   CASBUS_REQUIRE(size() + tail.size() < UINT32_MAX,
                  "ChainSet: too many chains");
@@ -216,7 +248,9 @@ ChainSet ChainSet::suffix(std::size_t first) const {
   // slots are renumbered, so that retired cores leave no empty slots.
   ChainSet out;
   out.chains_.reserve(size() - std::min(first, size()));
-  std::vector<std::uint32_t> slot_of(per_slot_.size(), UINT32_MAX);
+  out.per_slot_.reserve(per_slot_.size());
+  std::vector<std::uint32_t>& slot_of = scratch().renumber;
+  slot_of.assign(per_slot_.size(), UINT32_MAX);
   for (const Chain& c : chains_) {
     if (c.index < first) continue;
     std::uint32_t& slot = slot_of[c.slot];
@@ -232,34 +266,39 @@ ChainSet ChainSet::suffix(std::size_t first) const {
   return out;
 }
 
-std::vector<std::size_t> ChainSet::place(
-    unsigned wires, std::vector<unsigned>* wire_of_item) const {
+std::size_t ChainSet::place(unsigned wires,
+                            std::vector<unsigned>* wire_of_item,
+                            std::vector<std::size_t>* wire_load) const {
   CASBUS_REQUIRE(wires >= 1, "assign_lpt_grouped: need at least one wire");
-  std::vector<std::size_t> wire_load(wires, 0);
+  CASBUS_REQUIRE(wires <= kMaxWires,
+                 "assign_lpt_grouped: wire count exceeds ChainSet::kMaxWires");
+  CASBUS_REQUIRE(total_ <= kMaxTotal,
+                 "assign_lpt_grouped: summed chain length exceeds "
+                 "ChainSet::kMaxTotal");
   if (wire_of_item != nullptr) wire_of_item->assign(size(), 0);
+  if (wire_load != nullptr) wire_load->assign(wires, 0);
   if (wires == 1) {  // every core is relaxed or has one chain: all on wire 0
-    wire_load[0] = total_;
-    return wire_load;
+    if (wire_load != nullptr) (*wire_load)[0] = total_;
+    return total_;
   }
 
+  Scratch& s = scratch();
   const std::size_t words = (wires + 63) / 64;
-  std::vector<std::uint64_t> taken(per_slot_.size() * words, 0);
-  std::vector<std::size_t> unplaced = per_slot_;
+  s.taken.assign(per_slot_.size() * words, 0);
+  s.unplaced.assign(per_slot_.begin(), per_slot_.end());
 
-  struct WireLoad {
-    std::size_t load;
-    unsigned wire;
-    bool operator<(const WireLoad& o) const {
-      return load < o.load || (load == o.load && wire < o.wire);
-    }
-  };
-  // Wires in (load, index) order: the least-loaded admissible wire, lowest
-  // index on ties, is the first one the item's core does not block.
-  std::vector<WireLoad> by_load(wires);
-  for (unsigned k = 0; k < wires; ++k) by_load[k] = {0, k};
+  // Wires in (load, index) order as keys load << kWireBits | wire: the
+  // least-loaded admissible wire, lowest index on ties, is the first one
+  // the item's core does not block. A sentinel above every key ends the
+  // re-ranking walk.
+  constexpr std::uint64_t kWireMask = (std::uint64_t{1} << kWireBits) - 1;
+  std::vector<std::uint64_t>& by_load = s.by_load;
+  by_load.resize(std::size_t{wires} + 1);
+  for (unsigned k = 0; k < wires; ++k) by_load[k] = k;
+  by_load[wires] = UINT64_MAX;
 
   for (const Chain& c : chains_) {
-    --unplaced[c.slot];
+    --s.unplaced[c.slot];
     std::size_t pos = 0;
     // Relaxed when the core overflows the bus (wrapper concatenation).
     if (per_slot_[c.slot] <= wires) {
@@ -268,35 +307,36 @@ std::vector<std::size_t> ChainSet::place(
       // is the core's last chain to be placed. Every other sibling blocks
       // at most one wire (chains - 1 in all) and chains <= wires, so some
       // wire is always free.
-      std::uint64_t* held = &taken[c.slot * words];
+      std::uint64_t* held = &s.taken[c.slot * words];
+      const bool last = s.unplaced[c.slot] == 0;
       for (; pos < wires; ++pos) {
-        const unsigned w = by_load[pos].wire;
-        if ((held[w / 64] >> (w % 64) & 1) == 0 &&
-            (w != 0 || unplaced[c.slot] == 0))
-          break;
+        const auto w = static_cast<unsigned>(by_load[pos] & kWireMask);
+        if ((held[w / 64] >> (w % 64) & 1) == 0 && (w != 0 || last)) break;
       }
       CASBUS_REQUIRE(pos < wires, "assign_lpt_grouped: no free wire");
-      const unsigned w = by_load[pos].wire;
+      const auto w = static_cast<unsigned>(by_load[pos] & kWireMask);
       held[w / 64] |= std::uint64_t{1} << (w % 64);
     }
-    const WireLoad moved{by_load[pos].load + c.length, by_load[pos].wire};
-    if (wire_of_item != nullptr) (*wire_of_item)[c.index] = moved.wire;
-    // Re-sort: binary-search the grown wire's place among the heavier
-    // wires, then shift the lighter ones forward.
-    const auto to = std::upper_bound(
-        by_load.begin() + static_cast<std::ptrdiff_t>(pos + 1), by_load.end(),
-        moved);
-    std::move(by_load.begin() + static_cast<std::ptrdiff_t>(pos + 1), to,
-              by_load.begin() + static_cast<std::ptrdiff_t>(pos));
-    *(to - 1) = moved;
+    const std::uint64_t moved =
+        by_load[pos] + (std::uint64_t{c.length} << kWireBits);
+    if (wire_of_item != nullptr)
+      (*wire_of_item)[c.index] = static_cast<unsigned>(moved & kWireMask);
+    // Re-rank: shift the lighter wires after pos forward until the grown
+    // wire's place. Keys are distinct, so this is its upper bound.
+    std::size_t to = pos + 1;
+    for (; by_load[to] < moved; ++to) by_load[to - 1] = by_load[to];
+    by_load[to - 1] = moved;
   }
-  for (const WireLoad& wl : by_load) wire_load[wl.wire] = wl.load;
-  return wire_load;
+  if (wire_load != nullptr) {
+    for (unsigned k = 0; k < wires; ++k)
+      (*wire_load)[by_load[k] & kWireMask] = by_load[k] >> kWireBits;
+  }
+  return by_load[wires - 1] >> kWireBits;
 }
 
 Balance ChainSet::grouped(unsigned wires) const {
   Balance b;
-  b.wire_load = place(wires, &b.wire_of_item);
+  place(wires, &b.wire_of_item, &b.wire_load);
   return b;
 }
 
@@ -309,28 +349,40 @@ Balance ChainSet::grouped(unsigned wires) const {
 constexpr std::size_t kRefineItemLimit = 96;
 
 std::size_t ChainSet::refined_max_load(unsigned wires) const {
-  if (size() <= kRefineItemLimit) return refined(wires).max_load();
-  const std::vector<std::size_t> load = place(wires, nullptr);
-  return *std::max_element(load.begin(), load.end());
+  if (size() > kRefineItemLimit) return place(wires, nullptr, nullptr);
+  Scratch& s = scratch();
+  place(wires, &s.wire_of_item, &s.wire_load);
+  polish(wires, s.wire_of_item, s.wire_load);
+  return *std::max_element(s.wire_load.begin(), s.wire_load.end());
 }
 
 Balance ChainSet::refined(unsigned wires) const {
   Balance b = grouped(wires);
-  if (chains_.empty() || size() > kRefineItemLimit) return b;
+  if (size() <= kRefineItemLimit) polish(wires, b.wire_of_item, b.wire_load);
+  return b;
+}
 
+void ChainSet::polish(unsigned wires, std::vector<unsigned>& wire_of_item,
+                      std::vector<std::size_t>& wire_load) const {
+  // One wire admits no move and no swap.
+  if (chains_.empty() || wires == 1) return;
   // The polish walks items in insertion order.
   const std::size_t n = size();
-  std::vector<std::size_t> length(n);
-  std::vector<std::uint32_t> slot_of(n);
+  Scratch& s = scratch();
+  std::vector<std::size_t>& length = s.length;
+  std::vector<std::uint32_t>& slot_of = s.slot_of;
+  length.resize(n);
+  slot_of.resize(n);
   for (const Chain& c : chains_) {
     length[c.index] = c.length;
     slot_of[c.index] = c.slot;
   }
   // held[slot * wires + w] counts the core's items on wire w. A relaxed
   // core (more chains than wires) is never checked.
-  std::vector<std::uint32_t> held(per_slot_.size() * wires, 0);
+  std::vector<std::uint32_t>& held = s.held;
+  held.assign(per_slot_.size() * wires, 0);
   for (std::size_t i = 0; i < n; ++i)
-    ++held[slot_of[i] * std::size_t{wires} + b.wire_of_item[i]];
+    ++held[slot_of[i] * std::size_t{wires} + wire_of_item[i]];
   const auto free_for = [&](std::size_t i, unsigned wire,
                             std::uint32_t discount) {
     const std::uint32_t slot = slot_of[i];
@@ -339,24 +391,25 @@ Balance ChainSet::refined(unsigned wires) const {
   };
   const auto move_to = [&](std::size_t i, unsigned wire) {
     const std::size_t row = slot_of[i] * std::size_t{wires};
-    --held[row + b.wire_of_item[i]];
+    --held[row + wire_of_item[i]];
     ++held[row + wire];
-    b.wire_of_item[i] = wire;
+    wire_of_item[i] = wire;
   };
 
   bool improved = true;
   while (improved) {
     improved = false;
-    const std::size_t before = b.max_load();
+    const std::size_t before =
+        *std::max_element(wire_load.begin(), wire_load.end());
     // Constraint-preserving moves off a maximal wire.
     for (std::size_t i = 0; i < n && !improved; ++i) {
-      const unsigned src = b.wire_of_item[i];
-      if (b.wire_load[src] != before) continue;
+      const unsigned src = wire_of_item[i];
+      if (wire_load[src] != before) continue;
       for (unsigned dst = 0; dst < wires; ++dst) {
         if (dst == src || !free_for(i, dst, 0)) continue;
-        if (b.wire_load[dst] + length[i] < before) {
-          b.wire_load[src] -= length[i];
-          b.wire_load[dst] += length[i];
+        if (wire_load[dst] + length[i] < before) {
+          wire_load[src] -= length[i];
+          wire_load[dst] += length[i];
           move_to(i, dst);
           improved = true;
           break;
@@ -366,24 +419,23 @@ Balance ChainSet::refined(unsigned wires) const {
     // Constraint-preserving swaps: after the swap j no longer holds wj
     // (nor i wi), so a same-core partner is discounted from the count.
     for (std::size_t i = 0; i < n && !improved; ++i) {
-      const unsigned wi = b.wire_of_item[i];
-      if (b.wire_load[wi] != before) continue;
+      const unsigned wi = wire_of_item[i];
+      if (wire_load[wi] != before) continue;
       for (std::size_t j = 0; j < n && !improved; ++j) {
-        const unsigned wj = b.wire_of_item[j];
+        const unsigned wj = wire_of_item[j];
         if (wj == wi || length[j] >= length[i]) continue;
         const std::size_t delta = length[i] - length[j];
-        if (b.wire_load[wj] + delta >= before) continue;
+        if (wire_load[wj] + delta >= before) continue;
         const std::uint32_t same = slot_of[i] == slot_of[j] ? 1 : 0;
         if (!free_for(i, wj, same) || !free_for(j, wi, same)) continue;
-        b.wire_load[wi] -= delta;
-        b.wire_load[wj] += delta;
+        wire_load[wi] -= delta;
+        wire_load[wj] += delta;
         move_to(i, wj);
         move_to(j, wi);
         improved = true;
       }
     }
   }
-  return b;
 }
 
 Balance assign_lpt_grouped(const std::vector<ChainItem>& items,

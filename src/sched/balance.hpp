@@ -79,9 +79,17 @@ Balance assign_lpt_grouped_refined(const std::vector<ChainItem>& items,
 /// A session's scan chains sorted once into LPT order — length descending,
 /// insertion order ascending on ties — each tagged with a dense per-core
 /// slot, plus the chain count of every slot. Placing a chain costs a walk
-/// past the wires its core blocks (fewer than its chain count), a binary
-/// search and one shift of the load-sorted wire list (at most \p wires
-/// entries); with one wire every chain lands on it.
+/// past the wires its core blocks (fewer than its chain count) and a
+/// forward insertion of the grown wire into the load-sorted wire list (at
+/// most \p wires one-word moves); with one wire every chain lands on it.
+/// A placement allocates only what the returned Balance holds: its working
+/// tables are per-thread scratch, so sets are safely placed concurrently.
+///
+/// Key limits: the sorted wire list holds one 64-bit key per wire, the
+/// wire's load above its index (kWireBits bits), so a placement requires
+/// wires <= kMaxWires and a summed set length <= kMaxTotal. Every placement
+/// call (grouped, refined, refined_max_load and the assign_lpt_grouped*
+/// functions) throws casbus::PreconditionError when either is exceeded.
 ///
 /// A set is placed at any wire count without re-sorting, grows by a core
 /// in O(chains) (merged) and sheds retired cores in O(chains + cores)
@@ -91,6 +99,14 @@ Balance assign_lpt_grouped_refined(const std::vector<ChainItem>& items,
 /// out of the previous one.
 class ChainSet {
  public:
+  /// Low bits of a placement key, holding the wire index.
+  static constexpr unsigned kWireBits = 16;
+  /// Largest wire count a set is placed at.
+  static constexpr unsigned kMaxWires = 1u << kWireBits;
+  /// Largest summed chain length a set is placed with.
+  static constexpr std::size_t kMaxTotal =
+      (std::size_t{1} << (64 - kWireBits)) - 1;
+
   ChainSet() = default;
   /// One sort of \p items; insertion index i is items[i].
   explicit ChainSet(const std::vector<ChainItem>& items);
@@ -110,8 +126,8 @@ class ChainSet {
   [[nodiscard]] Balance grouped(unsigned wires) const;
   /// assign_lpt_grouped_refined of the items.
   [[nodiscard]] Balance refined(unsigned wires) const;
-  /// refined(wires).max_load(); past the polish limit no per-item
-  /// assignment is built.
+  /// refined(wires).max_load(), placed and polished in this thread's
+  /// scratch: no allocation once the scratch is warm.
   [[nodiscard]] std::size_t refined_max_load(unsigned wires) const;
 
  private:
@@ -121,10 +137,14 @@ class ChainSet {
     std::uint32_t slot = 0;   ///< dense per-core number
   };
 
-  /// The placement pass: per-wire loads; when \p wire_of_item is non-null
-  /// it receives each item's wire by insertion index.
-  std::vector<std::size_t> place(unsigned wires,
-                                 std::vector<unsigned>* wire_of_item) const;
+  /// The placement pass; returns the max wire load. When non-null,
+  /// \p wire_of_item receives each item's wire by insertion index and
+  /// \p wire_load each wire's load.
+  std::size_t place(unsigned wires, std::vector<unsigned>* wire_of_item,
+                    std::vector<std::size_t>* wire_load) const;
+  /// The constraint-preserving move/swap polish of a placement of this set.
+  void polish(unsigned wires, std::vector<unsigned>& wire_of_item,
+              std::vector<std::size_t>& wire_load) const;
 
   std::vector<Chain> chains_;         ///< in LPT order
   std::vector<std::size_t> per_slot_; ///< chain count of each slot

@@ -3,8 +3,9 @@
 // they replaced — wire_of_item and wire_load, field for field — on random
 // item sets that cross the 96-item polish limit, span more than one 64-bit
 // word of wires, relax overflowing cores, tie lengths, scatter and
-// interleave core ids and need the 64-bit sort path. Chain sets built by
-// one sort, by merges and by suffix cuts must place the same way.
+// interleave core ids, need the 64-bit sort path or load wires near the
+// packed-key limit. Chain sets built by one sort, by merges and by suffix
+// cuts must place the same way, and sets past the key limits are refused.
 
 #include <algorithm>
 #include <cstdint>
@@ -186,6 +187,9 @@ struct Shape {
   bool interleave = false;   ///< cores' items shuffled into each other
   bool huge = false;         ///< some lengths >= 2^32 (64-bit sort path)
   bool relax = false;        ///< many cores with more chains than wires
+  /// lengths up to 2^40, capped so the summed length stays within
+  /// ChainSet::kMaxTotal: the largest sets place near the key limit
+  bool giant = false;
 };
 
 std::vector<ChainItem> random_items(Rng& rng, unsigned wires, std::size_t n,
@@ -204,6 +208,9 @@ std::vector<ChainItem> random_items(Rng& rng, unsigned wires, std::size_t n,
                                       : rng.below(5000);
       if (shape.huge && rng.below(3) == 0)
         length += (std::size_t{1} << 32) + rng.below(UINT64_C(1) << 36);
+      if (shape.giant)
+        length =
+            rng.below(std::min(UINT64_C(1) << 40, ChainSet::kMaxTotal / n));
       items.push_back(ChainItem{core, ch, length});
     }
   }
@@ -238,6 +245,7 @@ TEST(Balance, MatchesReferenceOnRandomItemSets) {
       {true, true, true, false, true},
       {false, false, false, true, false},
       {true, false, true, true, true},
+      {false, true, true, false, true, true},
   };
   Rng rng(20261017);
   std::size_t cases = 0, failures = 0;
@@ -418,6 +426,39 @@ TEST(ChainSet, SuffixSequencesMatchReference) {
     EXPECT_EQ(set.size(), 0u);
   }
   EXPECT_EQ(failures, 0u);
+}
+
+// The placement keys pack a wire's load above its index: a wire count past
+// the index field or a summed length past the load field is refused by
+// every placement entry point, and both limits themselves are placed.
+TEST(ChainSet, KeyLimitsAreRefused) {
+  const std::size_t half = ChainSet::kMaxTotal / 2 + 1;
+  const std::vector<ChainItem> too_long = {{0, 0, half}, {1, 0, half}};
+  const std::vector<ChainItem> small = {{0, 0, 3}, {0, 1, 2}, {1, 0, 1}};
+  for (const unsigned wires : {1u, 2u, 64u}) {
+    const ChainSet set(too_long);
+    EXPECT_THROW((void)set.grouped(wires), PreconditionError);
+    EXPECT_THROW((void)set.refined(wires), PreconditionError);
+    EXPECT_THROW((void)set.refined_max_load(wires), PreconditionError);
+    EXPECT_THROW((void)assign_lpt_grouped(too_long, wires), PreconditionError);
+    EXPECT_THROW((void)assign_lpt_grouped_refined(too_long, wires),
+                 PreconditionError);
+  }
+  const ChainSet set(small);
+  const unsigned too_wide = ChainSet::kMaxWires + 1;
+  EXPECT_THROW((void)set.grouped(too_wide), PreconditionError);
+  EXPECT_THROW((void)set.refined(too_wide), PreconditionError);
+  EXPECT_THROW((void)set.refined_max_load(too_wide), PreconditionError);
+  EXPECT_THROW((void)assign_lpt_grouped(small, too_wide), PreconditionError);
+
+  // At the limits: the full summed length, and the widest bus.
+  const std::vector<ChainItem> at_total = {{0, 0, ChainSet::kMaxTotal - 5},
+                                           {0, 1, 5}};
+  for (const unsigned wires : {1u, 2u, 3u})
+    EXPECT_EQ(compare_set(ChainSet(at_total), at_total, wires,
+                          "at kMaxTotal, wires " + std::to_string(wires)),
+              0u);
+  EXPECT_EQ(compare_set(set, small, ChainSet::kMaxWires, "at kMaxWires"), 0u);
 }
 
 // The wire-0 rule: a core's unplaced chains sit on wire 0, so a chain takes

@@ -4,11 +4,13 @@
 // bounds (session floor, overflow floor, BIST chunk bound) against an
 // exhaustive partition enumeration, and lint-clean parallel schedules.
 // Also the explorer's process-wide CAS-area memo, which concurrent sweeps
-// share.
+// share, and the chain balancer's per-thread placement scratch, which
+// concurrent schedulers and B&B workers use at once.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <thread>
 #include <vector>
@@ -19,9 +21,11 @@
 #include "explore/explorer.hpp"
 #include "explore/soc_generator.hpp"
 #include "netlist/area.hpp"
+#include "sched/balance.hpp"
 #include "sched/exact.hpp"
 #include "sched/lower_bound.hpp"
 #include "sched/scheduler.hpp"
+#include "util/rng.hpp"
 #include "verify/schedule_lint.hpp"
 
 namespace casbus::explore {
@@ -381,6 +385,74 @@ TEST(Explorer, CasAreaMemoMatchesSynthesis) {
     for (const std::vector<double>& mine : totals)
       EXPECT_EQ(mine[i], serial) << "width " << widths[i];
   }
+}
+
+// Placement works in per-thread scratch. Four threads each place their own
+// chain sets over and over — sizes either side of the 96-item polish
+// limit, 1 to 100 wires (past 64 a core's blocked-wire bitset spans two
+// words), some cores relaxed — interleaving grouped, refined and
+// refined_max_load; every result must equal the serial one computed before
+// the threads start. Scratch shared between threads fails this.
+TEST(ChainSet, ConcurrentPlacementMatchesSerial) {
+  struct Case {
+    sched::ChainSet set;
+    unsigned wires;
+    sched::Balance grouped, refined;
+    std::size_t max_load;
+  };
+  constexpr std::size_t kThreads = 4;
+  const std::size_t sizes[] = {3, 40, 95, 96, 97, 180, 400};
+  const unsigned wire_counts[] = {1, 2, 7, 31, 64, 65, 100};
+  Rng rng(2718);
+  std::vector<std::vector<Case>> cases(kThreads);
+  for (std::vector<Case>& mine : cases) {
+    for (std::size_t k = 0; k < 21; ++k) {
+      const std::size_t n = sizes[k % std::size(sizes)];
+      const unsigned wires = wire_counts[(k + rng.below(7)) % 7];
+      std::vector<sched::ChainItem> items;
+      for (std::size_t core = 0; items.size() < n; ++core) {
+        const std::size_t chains = rng.below(6) == 0
+                                       ? wires + 1 + rng.below(3)
+                                       : 1 + rng.below(std::min(wires, 12u));
+        for (std::size_t ch = 0; ch < chains && items.size() < n; ++ch)
+          items.push_back(sched::ChainItem{core, ch, 1 + rng.below(3000)});
+      }
+      const sched::ChainSet set(items);
+      mine.push_back(Case{set, wires, set.grouped(wires), set.refined(wires),
+                          set.refined_max_load(wires)});
+    }
+  }
+
+  std::atomic<std::size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (const std::vector<Case>& mine : cases)
+    threads.emplace_back([&mine, &mismatches] {
+      for (std::size_t rep = 0; rep < 120; ++rep) {
+        for (std::size_t k = 0; k < mine.size(); ++k) {
+          const Case& c = mine[(k * 5 + rep) % mine.size()];
+          bool same = true;
+          switch ((k + rep) % 3) {
+            case 0: {
+              const sched::Balance b = c.set.grouped(c.wires);
+              same = b.wire_of_item == c.grouped.wire_of_item &&
+                     b.wire_load == c.grouped.wire_load;
+              break;
+            }
+            case 1: {
+              const sched::Balance b = c.set.refined(c.wires);
+              same = b.wire_of_item == c.refined.wire_of_item &&
+                     b.wire_load == c.refined.wire_load;
+              break;
+            }
+            default:
+              same = c.set.refined_max_load(c.wires) == c.max_load;
+          }
+          if (!same) ++mismatches;
+        }
+      }
+    });
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 }  // namespace
