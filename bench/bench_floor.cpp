@@ -17,7 +17,11 @@
 /// Part 3 (cache): a repeated-spec mix run cold, with the program tier
 /// only, and with full verdict reuse, reporting each tier's honest
 /// speedup. For paper-sized SoCs scheduling is cheap, so the program tier
-/// is expected to be ~1x; verdict reuse is the production win.
+/// is expected to be ~1x; verdict reuse is the production win. A last
+/// `zipf` point draws a catalogue larger than the cache with Zipf (s = 1)
+/// popularity and runs it on one worker, so its hit count is a
+/// deterministic function of the eviction policy (the CI hit-rate floor
+/// reads it).
 ///
 /// CI gates on the 4-vs-1-worker speedup (> 1.8x on the >= 4-vCPU
 /// runners) and on the repeated-spec mix beating the cold mix by >= 1.3x;
@@ -35,6 +39,7 @@
 #include "floor/job_factory.hpp"
 #include "floor/session.hpp"
 #include "floor/test_floor.hpp"
+#include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -192,7 +197,7 @@ int main() {
   rep.record("streaming", stream_params, "matches_batch",
              std::uint64_t{streaming_deterministic ? 1u : 0u});
 
-  // --- Part 3: repeated-spec mix through the per-worker caches --------------
+  // --- Part 3: repeated-spec mix through the floor's cache ------------------
   banner("FLOOR-CACHE", "repeated-spec mix: program tier + verdict reuse");
 
   constexpr std::size_t kCacheJobs = 48;
@@ -267,6 +272,53 @@ int main() {
                          static_cast<double>(report.total.jobs)
                    : 0.0);
   }
+
+  // The zipf point: kZipfRecipes distinct recipes (4x the 1-worker cache)
+  // drawn kZipfJobs times with Zipf (s = 1) popularity, at one worker so
+  // every lookup sees the same cache state on every run.
+  constexpr std::size_t kZipfRecipes = 64;
+  constexpr std::size_t kZipfJobs = 384;
+  std::vector<double> cdf;
+  double total = 0.0;
+  for (std::size_t r = 0; r < kZipfRecipes; ++r) {
+    total += 1.0 / static_cast<double>(r + 1);
+    cdf.push_back(total);
+  }
+  Rng zipf_rng(Rng::derive_stream(kSeed, 0x7a697066));
+  std::vector<JobSpec> zipf;
+  zipf.reserve(kZipfJobs);
+  for (std::size_t i = 0; i < kZipfJobs; ++i) {
+    const double u = static_cast<double>(zipf_rng.next() >> 11) * 0x1.0p-53 *
+                     total;
+    const auto r = static_cast<std::size_t>(
+        std::upper_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+    JobSpec spec = cache_factory.make_job(std::min(r, kZipfRecipes - 1));
+    spec.id = i;
+    zipf.push_back(spec);
+  }
+  FloorConfig zipf_config;
+  zipf_config.workers = 1;
+  const FloorReport zipf_report = TestFloor(zipf_config).run(zipf);
+  all_pass = all_pass && zipf_report.all_pass();
+  const double zipf_hit_rate = static_cast<double>(zipf_report.cache_hits) /
+                               static_cast<double>(zipf_report.total.jobs);
+  cache_table.add_row({"zipf", format_double(zipf_report.wall_seconds, 3),
+                       format_double(zipf_report.programs_per_sec(), 1), "-",
+                       std::to_string(zipf_report.cache_hits) + "/" +
+                           std::to_string(zipf_report.total.jobs)});
+  const JsonReporter::Params zipf_params = {
+      {"config", "zipf"},
+      {"workers", "1"},
+      {"jobs", std::to_string(kZipfJobs)},
+      {"distinct_specs", std::to_string(kZipfRecipes)},
+      {"cache_capacity", std::to_string(zipf_config.cache_capacity)},
+      {"seed", std::to_string(kSeed)}};
+  rep.record("cache", zipf_params, "programs_per_sec",
+             zipf_report.programs_per_sec());
+  rep.record("cache", zipf_params, "cache_hits",
+             static_cast<std::uint64_t>(zipf_report.cache_hits));
+  rep.record("cache", zipf_params, "cache_hit_rate", zipf_hit_rate);
+
   cache_table.print(std::cout);
   std::cout << "\nrepeated-spec warm speedup vs cold: "
             << format_double(warm_speedup, 2)

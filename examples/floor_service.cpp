@@ -16,9 +16,10 @@
 /// otherwise mixes them). --stream drives the live FloorSession API
 /// instead of the batch adapter: jobs are submitted while the workers run
 /// (throttled by --queue-capacity) and results are printed as they
-/// complete, in arrival order. --cache sets the per-worker program-cache
-/// capacity (0 disables). Each job runs on the thread of the worker that
-/// picked it up. --summary additionally prints the deterministic
+/// complete, in arrival order. --cache sets the program-cache entries per
+/// worker: the floor's one shared cache holds C x workers recipes (0
+/// disables it). Each job runs on the thread of the worker that picked it
+/// up. --summary additionally prints the deterministic
 /// aggregate summary — the text that is guaranteed byte-identical for any
 /// worker count, batch or streaming, cache on or off, at a fixed seed.
 ///

@@ -146,7 +146,7 @@ tpg::SyntheticCoreSpec job_core_spec(Rng& rng, std::size_t chains) {
 
 /// Scheduled scenarios (ScanOnly / BistJoin): synthesize the SoC, compile
 /// via the analytic scheduler — or pull the compiled program straight from
-/// the worker's cache — then execute cycle-accurately.
+/// the floor's cache — then execute cycle-accurately.
 void run_scheduled(const JobSpec& spec, bool with_engines, Rng& rng,
                    ProgramCache* cache, bool verify,
                    const JobTelemetry& obs, JobResult& result) {
@@ -484,7 +484,7 @@ JobResult run_job(const JobSpec& spec, ProgramCache* cache, bool verify,
   const std::uint64_t job_start_us =
       obs.trace != nullptr ? obs.trace->now_us() : 0;
 
-  // Verdict tier: a recipe this worker already ran cleanly skips the
+  // Verdict tier: a recipe the floor already ran cleanly skips the
   // whole pipeline — run_job is pure, so the qualified result *is* what a
   // re-run would compute (only id and timing are job-specific).
   if (cache) {

@@ -13,7 +13,7 @@
 /// them or what runs concurrently. All of a job's randomness flows from its
 /// private seed — the floor derives it as Rng::derive_stream(floor_seed,
 /// job id) (see util/rng.hpp), which is what makes a whole floor run's
-/// aggregates byte-identical for 1 and N workers. An optional per-worker
+/// aggregates byte-identical for 1 and N workers. An optional floor-wide
 /// ProgramCache may serve the Schedule+Compile stages for repeated specs;
 /// because compilation is itself pure, a cache hit reproduces the cold
 /// path's program bit-for-bit and the contract is unchanged.
@@ -94,8 +94,8 @@ struct JobSpec {
   /// schedule, and compiled program — everything except id (two jobs that
   /// differ only in id are reruns of the same recipe). Stable across
   /// platforms and runs (util/hash.hpp). Equal keys mean byte-identical
-  /// deterministic results, which is what makes the per-worker program
-  /// caches and the JobQueue's affinity sharding sound.
+  /// deterministic results, which is what makes the floor's program cache
+  /// sound.
   [[nodiscard]] std::uint64_t cache_key() const noexcept;
 
   /// True when \p other is the same recipe: every field except id equal.

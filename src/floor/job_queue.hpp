@@ -1,18 +1,15 @@
 /// \file job_queue.hpp
-/// The test floor's work queue: a multi-producer / multi-consumer queue of
-/// JobSpecs with close semantics, bounded-capacity backpressure, and
-/// per-worker steal-ready deques.
+/// The test floor's work queue: a multi-producer / multi-consumer FIFO of
+/// JobSpecs with close semantics and bounded-capacity backpressure.
 ///
 /// ## Structure
-/// Jobs land in one of `shards` deques, picked by the job's cache-key
-/// affinity (JobSpec::cache_key() % shards). Worker w pops the front of
-/// shard w first — so repeated specs keep hitting the same worker's
-/// program cache — and steals from the back of the fullest other shard
-/// when its own is empty, so a long-tailed mix (one shard stuck behind a
-/// 10x hierarchical/maintenance job) never idles the rest of the pool.
-/// Each pushed job is still delivered to exactly one popper, tagged with
-/// its global arrival slot (0-based push order), which is what lets
-/// workers deposit results in input order regardless of steal order.
+/// One deque: every worker pops the oldest waiting job, so a long-tailed
+/// mix (one worker stuck behind a 10x hierarchical/maintenance job) never
+/// idles the rest of the pool. No routing is needed for cache locality
+/// because the floor's ProgramCache is shared by all workers. Each pushed
+/// job is delivered to exactly one popper, tagged with its arrival slot
+/// (0-based push order), which is what lets workers deposit results in
+/// input order regardless of completion order.
 ///
 /// ## Backpressure
 /// A capacity bound (0 = unbounded) limits jobs *waiting* in the queue:
@@ -37,10 +34,8 @@
 #include <deque>
 #include <mutex>
 #include <optional>
-#include <vector>
 
 #include "floor/job.hpp"
-#include "util/error.hpp"
 
 namespace casbus::floor {
 
@@ -62,7 +57,6 @@ struct QueueStats {
   std::size_t high_water = 0;   ///< max depth ever reached
   std::size_t pushed = 0;       ///< jobs accepted so far
   std::size_t popped = 0;       ///< jobs handed to workers so far
-  std::size_t steals = 0;       ///< pops served from a foreign shard
   /// Producers that found the queue at capacity and had to block (one
   /// count per blocking push(), however long it waited).
   std::size_t backpressure_engages = 0;
@@ -70,20 +64,12 @@ struct QueueStats {
   /// close()); engages - releases is the number currently blocked plus
   /// those that exited via close().
   std::size_t backpressure_releases = 0;
-  /// Steals charged to the shard they were stolen *from*.
-  std::vector<std::size_t> steals_per_shard;
 };
 
 class JobQueue {
  public:
-  /// \p shards is the number of per-worker deques (clamped >= 1; pass the
-  /// worker-pool size). \p capacity bounds the jobs waiting in the queue
-  /// across all shards; 0 means unbounded.
-  explicit JobQueue(std::size_t shards = 1, std::size_t capacity = 0)
-      : shards_(shards == 0 ? 1 : shards),
-        capacity_(capacity),
-        queues_(shards_),
-        steals_per_shard_(shards_, 0) {}
+  /// \p capacity bounds the jobs waiting in the queue; 0 means unbounded.
+  explicit JobQueue(std::size_t capacity = 0) : capacity_(capacity) {}
 
   /// Enqueues one job, assigning it the next arrival slot; blocks while
   /// the queue is at capacity. Returns false (dropping the job) when the
@@ -126,17 +112,18 @@ class JobQueue {
     space_cv_.notify_all();
   }
 
-  /// Takes the next job for \p worker — its own shard's front, else a
-  /// steal from the back of the fullest other shard — blocking while the
-  /// queue is open but empty. Returns std::nullopt when the queue is
-  /// closed and fully drained.
-  [[nodiscard]] std::optional<SlottedJob> pop(std::size_t worker = 0) {
+  /// Takes the oldest waiting job, blocking while the queue is open but
+  /// empty. Returns std::nullopt when the queue is closed and fully
+  /// drained.
+  [[nodiscard]] std::optional<SlottedJob> pop() {
     SlottedJob job;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      jobs_cv_.wait(lock, [this] { return closed_ || size_ > 0; });
-      if (size_ == 0) return std::nullopt;
-      job = dequeue(worker % shards_);
+      jobs_cv_.wait(lock, [this] { return closed_ || !jobs_.empty(); });
+      if (jobs_.empty()) return std::nullopt;
+      job = std::move(jobs_.front());
+      jobs_.pop_front();
+      ++popped_;
     }
     space_cv_.notify_one();
     return job;
@@ -145,7 +132,7 @@ class JobQueue {
   /// Jobs currently waiting (snapshot — racy by nature under concurrency).
   [[nodiscard]] std::size_t size() const {
     const std::lock_guard<std::mutex> lock(mu_);
-    return size_;
+    return jobs_.size();
   }
 
   /// Jobs accepted so far (== the next arrival slot).
@@ -159,7 +146,6 @@ class JobQueue {
     return closed_;
   }
 
-  [[nodiscard]] std::size_t shards() const noexcept { return shards_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
   /// Every observability counter in one mutex-consistent snapshot — depth
@@ -168,68 +154,38 @@ class JobQueue {
   [[nodiscard]] QueueStats stats() const {
     const std::lock_guard<std::mutex> lock(mu_);
     QueueStats s;
-    s.depth = size_;
+    s.depth = jobs_.size();
     s.capacity = capacity_;
     s.high_water = high_water_;
     s.pushed = next_slot_;
     s.popped = popped_;
-    s.steals = steals_;
     s.backpressure_engages = bp_engages_;
     s.backpressure_releases = bp_releases_;
-    s.steals_per_shard = steals_per_shard_;
     return s;
   }
 
  private:
   [[nodiscard]] bool has_space() const {
-    return capacity_ == 0 || size_ < capacity_;
+    return capacity_ == 0 || jobs_.size() < capacity_;
   }
 
   void enqueue(JobSpec job) {  // caller holds mu_
-    const std::size_t shard =
-        static_cast<std::size_t>(job.cache_key() % shards_);
-    queues_[shard].push_back(SlottedJob{next_slot_++, std::move(job)});
-    ++size_;
-    high_water_ = std::max(high_water_, size_);
-  }
-
-  SlottedJob dequeue(std::size_t home) {  // caller holds mu_; size_ > 0
-    --size_;
-    ++popped_;
-    std::deque<SlottedJob>& own = queues_[home];
-    if (!own.empty()) {
-      SlottedJob job = std::move(own.front());
-      own.pop_front();
-      return job;
-    }
-    std::size_t victim = home;
-    for (std::size_t s = 0; s < shards_; ++s)
-      if (queues_[s].size() > queues_[victim].size()) victim = s;
-    CASBUS_ASSERT(!queues_[victim].empty(),
-                  "JobQueue: size_ > 0 but every shard is empty");
-    ++steals_;
-    ++steals_per_shard_[victim];
-    SlottedJob job = std::move(queues_[victim].back());
-    queues_[victim].pop_back();
-    return job;
+    jobs_.push_back(SlottedJob{next_slot_++, std::move(job)});
+    high_water_ = std::max(high_water_, jobs_.size());
   }
 
   mutable std::mutex mu_;
   std::condition_variable jobs_cv_;   ///< wakes poppers
   std::condition_variable space_cv_;  ///< wakes producers at the bound
-  std::size_t shards_;
   std::size_t capacity_;
-  std::vector<std::deque<SlottedJob>> queues_;
-  std::size_t size_ = 0;
+  std::deque<SlottedJob> jobs_;  ///< front = oldest
   std::size_t next_slot_ = 0;
   bool closed_ = false;
   // Observability counters (all guarded by mu_; see stats()).
   std::size_t high_water_ = 0;
   std::size_t popped_ = 0;
-  std::size_t steals_ = 0;
   std::size_t bp_engages_ = 0;
   std::size_t bp_releases_ = 0;
-  std::vector<std::size_t> steals_per_shard_;
 };
 
 }  // namespace casbus::floor

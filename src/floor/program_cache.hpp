@@ -1,5 +1,6 @@
 /// \file program_cache.hpp
-/// Per-worker LRU cache over the expensive, *pure* parts of run_job.
+/// The floor-wide, scan-resistant cache over the expensive, *pure* parts
+/// of run_job.
 ///
 /// A test floor re-running a spec it has already run is doing work whose
 /// outcome it provably knows: run_job is a pure function of the JobSpec
@@ -31,18 +32,32 @@
 /// cache-off floors produce byte-identical deterministic_summary() text,
 /// which tests/test_floor_session.cpp enforces.
 ///
-/// ## Thread-safety
-/// None, by design. Each floor worker owns one ProgramCache; entries never
-/// cross threads (the shared_ptr is only for cheap handout within the
-/// owning worker's job loop). The JobQueue's affinity sharding routes
-/// equal-keyed jobs to the same worker precisely so these private caches
-/// stay hot without any synchronization.
+/// ## Eviction: segmented LRU
+/// A new recipe enters a *probation* list. A recipe the cache serves (a
+/// verdict or program hit) moves to a *protected* list that holds at most
+/// 3/4 of the capacity; the protected list's least recently used entry
+/// is demoted back to the front of probation when it overflows. Eviction
+/// always takes probation's least recently used entry. So a stream of
+/// one-off recipes can only cycle through probation and never flushes a
+/// recipe the floor has reused, while recipes that were never reused are
+/// still evicted in plain LRU order.
+///
+/// ## Sharing and thread-safety
+/// One ProgramCache serves the whole floor: FloorSession owns it with
+/// capacity FloorConfig::cache_capacity × workers, so whichever worker
+/// takes a job hits once any worker has qualified the recipe. One mutex
+/// guards the entries; every member is safe to call from any thread
+/// except set_telemetry(), which must precede concurrent use. Served
+/// programs are shared_ptr<const> and stay valid after their entry is
+/// evicted.
 
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <list>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -50,6 +65,7 @@
 #include "floor/telemetry.hpp"
 #include "obs/metrics.hpp"
 #include "soc/schedule_runner.hpp"
+#include "util/error.hpp"
 
 namespace casbus::floor {
 
@@ -60,12 +76,13 @@ class ProgramCache {
   /// gates the verdict tier; the program tier is always on when the cache
   /// is.
   explicit ProgramCache(std::size_t capacity, bool reuse_verdicts = true)
-      : capacity_(capacity), reuse_verdicts_(reuse_verdicts) {}
+      : capacity_(capacity),
+        protected_capacity_(capacity / 4 * 3 + capacity % 4 * 3 / 4),
+        reuse_verdicts_(reuse_verdicts) {}
 
-  /// Binds the worker's metric registry: every tier event is then added
-  /// to its floor.cache.* counter (on the owning worker's shard, so the
-  /// hot path stays contention-free). Call before the first lookup;
-  /// \p ids must outlive the cache.
+  /// Binds a metric registry: every tier event is then added to its
+  /// floor.cache.* counter (on the calling thread's shard). Call before
+  /// the first lookup; \p ids must outlive the cache.
   void set_telemetry(obs::Registry* registry, const FloorMetricIds& ids) {
     registry_ = registry;
     ids_ = &ids;
@@ -78,15 +95,21 @@ class ProgramCache {
   /// or nullopt. Counts one lookup (and, when served, one verdict hit).
   [[nodiscard]] std::optional<JobResult> reuse(const JobSpec& spec) {
     count(FloorCounter::CacheLookups);
-    if (!reuse_verdicts_) return std::nullopt;
-    Entry* entry = touch(spec);
-    if (entry == nullptr || !entry->verdict.has_value()) return std::nullopt;
+    if (capacity_ == 0 || !reuse_verdicts_) return std::nullopt;
+    std::optional<JobResult> result;
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      List::iterator* entry = find(spec);
+      if (entry == nullptr || !(*entry)->verdict.has_value())
+        return std::nullopt;
+      result = (*entry)->verdict;
+      promote(*entry);
+    }
     count(FloorCounter::CacheVerdictHits);
-    JobResult result = *entry->verdict;
-    result.cache_tier = CacheTier::Verdict;
-    result.stage_seconds.fill(0.0);
-    result.wall_seconds = 0.0;
-    result.engine = JobEngineCounters{};
+    result->cache_tier = CacheTier::Verdict;
+    result->stage_seconds.fill(0.0);
+    result->wall_seconds = 0.0;
+    result->engine = JobEngineCounters{};
     return result;
   }
 
@@ -94,7 +117,8 @@ class ProgramCache {
   /// pass clean (error-free) results.
   void qualify(const JobSpec& spec, const JobResult& result) {
     if (capacity_ == 0 || !reuse_verdicts_) return;
-    obtain(spec).verdict = result;
+    const std::lock_guard<std::mutex> lock(mu_);
+    obtain(spec)->verdict = result;
   }
 
   /// Program tier: the compiled program of this recipe, or null. Counts a
@@ -102,19 +126,30 @@ class ProgramCache {
   /// preceding it in the pipeline).
   [[nodiscard]] std::shared_ptr<const soc::CompiledProgram> find_program(
       const JobSpec& spec) {
-    Entry* entry = touch(spec);
-    if (entry == nullptr || entry->program == nullptr) return nullptr;
+    if (capacity_ == 0) return nullptr;
+    std::shared_ptr<const soc::CompiledProgram> program;
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      List::iterator* entry = find(spec);
+      if (entry == nullptr || (*entry)->program == nullptr) return nullptr;
+      program = (*entry)->program;
+      promote(*entry);
+    }
     count(FloorCounter::CacheProgramHits);
-    return entry->program;
+    return program;
   }
 
   void put_program(const JobSpec& spec,
                    std::shared_ptr<const soc::CompiledProgram> program) {
     if (capacity_ == 0) return;
-    obtain(spec).program = std::move(program);
+    const std::lock_guard<std::mutex> lock(mu_);
+    obtain(spec)->program = std::move(program);
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return lru_.size(); }
+  [[nodiscard]] std::size_t size() const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return probation_.size() + protected_.size();
+  }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] bool reuse_verdicts() const noexcept {
     return reuse_verdicts_;
@@ -125,45 +160,82 @@ class ProgramCache {
     JobSpec recipe;  ///< canonical fields; id is meaningless here
     std::shared_ptr<const soc::CompiledProgram> program;
     std::optional<JobResult> verdict;
+    bool kept = false;  ///< in protected_ (else in probation_)
   };
+  using List = std::list<Entry>;  ///< front = most recently used
 
-  /// Finds the recipe's entry (collision-checked) and refreshes its
-  /// recency; null on miss.
-  [[nodiscard]] Entry* touch(const JobSpec& spec) {
-    if (capacity_ == 0) return nullptr;
+  // Every helper below runs with mu_ held.
+
+  /// The recipe's entry (collision-checked), or null on miss. The pointer
+  /// is into index_ and valid until the next insertion or erase.
+  [[nodiscard]] List::iterator* find(const JobSpec& spec) {
     const auto it = index_.find(spec.cache_key());
     if (it == index_.end() || !it->second->recipe.same_recipe(spec))
       return nullptr;
-    lru_.splice(lru_.begin(), lru_, it->second);  // most recent to front
-    return &*it->second;
+    return &it->second;
   }
 
-  /// Finds or inserts the recipe's entry, evicting the least recently
-  /// used one when over capacity. Caller fills in program/verdict.
-  [[nodiscard]] Entry& obtain(const JobSpec& spec) {
+  [[nodiscard]] List& segment(List::iterator e) {
+    return e->kept ? protected_ : probation_;
+  }
+
+  /// Makes \p e the most recent entry of its own segment.
+  void refresh(List::iterator e) {
+    List& seg = segment(e);
+    seg.splice(seg.begin(), seg, e);
+  }
+
+  /// A served entry: to the front of protected, demoting protected's
+  /// least recent entry to the front of probation on overflow.
+  void promote(List::iterator e) {
+    if (e->kept) {
+      refresh(e);
+      return;
+    }
+    e->kept = true;
+    protected_.splice(protected_.begin(), probation_, e);
+    if (protected_.size() <= protected_capacity_) return;
+    const List::iterator demoted = std::prev(protected_.end());
+    demoted->kept = false;
+    probation_.splice(probation_.begin(), protected_, demoted);
+  }
+
+  /// Finds or inserts the recipe's entry (refreshing it, never promoting
+  /// it), evicting probation's least recently used entry when over
+  /// capacity. Caller fills in program/verdict.
+  [[nodiscard]] List::iterator obtain(const JobSpec& spec) {
     const std::uint64_t key = spec.cache_key();
     const auto it = index_.find(key);
     if (it != index_.end()) {
-      // A colliding different recipe is evicted rather than shared.
-      if (!it->second->recipe.same_recipe(spec)) {
-        it->second->recipe = spec;
-        it->second->program = nullptr;
-        it->second->verdict.reset();
+      const List::iterator e = it->second;
+      // A colliding different recipe is evicted rather than shared; the
+      // newcomer starts on probation like any new recipe.
+      if (!e->recipe.same_recipe(spec)) {
+        e->recipe = spec;
+        e->program = nullptr;
+        e->verdict.reset();
+        probation_.splice(probation_.begin(), segment(e), e);
+        e->kept = false;
         count(FloorCounter::CacheEvictions);
         count(FloorCounter::CacheInsertions);
+      } else {
+        refresh(e);
       }
-      lru_.splice(lru_.begin(), lru_, it->second);
-      return *it->second;
+      return e;
     }
-    lru_.push_front(Entry{spec, nullptr, std::nullopt});
-    index_[key] = lru_.begin();
+    probation_.push_front(Entry{spec, nullptr, std::nullopt});
+    index_[key] = probation_.begin();
     count(FloorCounter::CacheInsertions);
-    if (lru_.size() > capacity_) {
-      index_.erase(lru_.back().recipe.cache_key());
-      lru_.pop_back();
+    if (probation_.size() + protected_.size() > capacity_) {
+      // protected_ holds at most 3/4 of capacity_, so probation_ holds an
+      // older entry behind the new one.
+      CASBUS_ASSERT(probation_.size() > 1,
+                    "ProgramCache: nothing on probation to evict");
+      index_.erase(probation_.back().recipe.cache_key());
+      probation_.pop_back();
       count(FloorCounter::CacheEvictions);
     }
-    return lru_.front();
+    return probation_.begin();
   }
 
   /// Counts one event in the bound registry, if any.
@@ -171,12 +243,16 @@ class ProgramCache {
     if (registry_ != nullptr) registry_->add((*ids_)[c]);
   }
 
-  std::size_t capacity_;
-  bool reuse_verdicts_;
+  const std::size_t capacity_;
+  const std::size_t protected_capacity_;  ///< floor(3/4 × capacity_)
+  const bool reuse_verdicts_;
   obs::Registry* registry_ = nullptr;
   const FloorMetricIds* ids_ = nullptr;
-  std::list<Entry> lru_;  ///< front = most recently used
-  std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
+
+  mutable std::mutex mu_;  ///< guards the lists and the index
+  List probation_;
+  List protected_;
+  std::unordered_map<std::uint64_t, List::iterator> index_;
 };
 
 }  // namespace casbus::floor

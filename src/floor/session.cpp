@@ -1,9 +1,8 @@
 #include "floor/session.hpp"
 
 #include <chrono>
+#include <limits>
 #include <utility>
-
-#include "floor/program_cache.hpp"
 
 namespace casbus::floor {
 
@@ -12,12 +11,21 @@ namespace {
 /// Sentinel in job_start_us_: this worker has no job in flight.
 constexpr std::uint64_t kWorkerIdle = ~std::uint64_t{0};
 
+/// The shared cache's entries: \p per_worker × \p workers, saturating.
+std::size_t floor_cache_capacity(std::size_t per_worker,
+                                 std::size_t workers) {
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  return per_worker > kMax / workers ? kMax : per_worker * workers;
+}
+
 }  // namespace
 
 FloorSession::FloorSession(FloorConfig config)
     : config_(std::move(config)),
       workers_(effective_workers(config_.workers)),
-      queue_(workers_, config_.queue_capacity),
+      cache_(floor_cache_capacity(config_.cache_capacity, workers_),
+             config_.reuse_verdicts),
+      queue_(config_.queue_capacity),
       start_(std::chrono::steady_clock::now()) {
   // Health implies metrics: the rule catalogue reads registry-backed
   // counters (cache tiers, stage p99s), so enabling the monitor without
@@ -36,6 +44,7 @@ FloorSession::FloorSession(FloorConfig config)
       return static_cast<double>(
           in_flight_.load(std::memory_order_relaxed));
     });
+    cache_.set_telemetry(registry_.get(), ids_);
   }
   if (config_.trace_capacity > 0)
     trace_ = std::make_unique<obs::TraceRecorder>(config_.trace_capacity);
@@ -170,12 +179,7 @@ FloorStats FloorSession::stats_snapshot() const {
 }
 
 void FloorSession::worker_main(std::size_t worker) {
-  // The worker's private program cache: equal-keyed jobs are routed here
-  // by the queue's affinity sharding, so repeated specs skip the
-  // Schedule+Compile stages without any cross-thread sharing.
-  ProgramCache cache(config_.cache_capacity, config_.reuse_verdicts);
-  ProgramCache* cache_ptr = config_.cache_capacity ? &cache : nullptr;
-  if (registry_ != nullptr) cache.set_telemetry(registry_.get(), ids_);
+  ProgramCache* cache = cache_.capacity() > 0 ? &cache_ : nullptr;
 
   JobTelemetry obs;
   obs.registry = registry_.get();
@@ -183,7 +187,7 @@ void FloorSession::worker_main(std::size_t worker) {
   obs.trace = trace_.get();
   obs.worker = static_cast<std::uint32_t>(worker);
 
-  while (std::optional<SlottedJob> job = queue_.pop(worker)) {
+  while (std::optional<SlottedJob> job = queue_.pop()) {
     in_flight_.fetch_add(1, std::memory_order_relaxed);
     heartbeats_[worker].fetch_add(1, std::memory_order_relaxed);
     obs.slot = job->slot;
@@ -194,7 +198,7 @@ void FloorSession::worker_main(std::size_t worker) {
                                                                   start_)
                 .count()),
         std::memory_order_relaxed);
-    JobResult result = run_job(job->spec, cache_ptr, config_.verify, obs);
+    JobResult result = run_job(job->spec, cache, config_.verify, obs);
     const auto end = std::chrono::steady_clock::now();
     job_start_us_[worker].store(kWorkerIdle, std::memory_order_relaxed);
     result.wall_seconds =

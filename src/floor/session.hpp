@@ -1,17 +1,17 @@
 /// \file session.hpp
 /// The streaming test-floor service: a long-running worker pool that
-/// accepts jobs *while it runs*, with bounded backpressure, per-worker
-/// program caches, and work stealing.
+/// accepts jobs *while it runs*, with bounded backpressure, one FIFO job
+/// queue and one floor-wide program cache.
 ///
 /// Architecture (one FloorSession):
 ///
-///     submit()/submit_batch() ──▶ JobQueue ──▶ worker 0 (+cache) ─┐
-///        (blocks at capacity)   (affinity ├──▶ worker 1 (+cache) ─┼─▶
-///                                 shards,  └──▶ worker N (+cache) ─┘
-///                                 stealing)        results[slot]
-///                                                       │
-///     poll_results() ◀── slot-ordered delivery ◀────────┤
-///     drain()        ◀── close + join + aggregate ◀─────┘
+///    submit()/submit_batch() ──▶ JobQueue ──▶ worker 0 ─┐
+///       (blocks at capacity)  (one FIFO)  ├─▶ worker 1 ─┼─▶ results[slot]
+///                                         └─▶ worker N ─┘         │
+///    every worker ◀──▶ ProgramCache (shared, one mutex,           │
+///                      segmented LRU)                             │
+///    poll_results() ◀── slot-ordered delivery ◀───────────────────┤
+///    drain()        ◀── close + join + aggregate ◀────────────────┘
 ///
 /// Lifecycle: open (construction spawns the pool) -> submit / submit_batch
 /// / poll_results in any interleaving from any threads -> drain() (or
@@ -23,10 +23,10 @@
 /// drain()'s FloorReport folds results in arrival-slot order after the
 /// pool has joined, so every deterministic aggregate — everything in
 /// deterministic_summary() — is a function of the submitted job list
-/// alone: byte-identical for 1 worker and N workers, with caches on or
+/// alone: byte-identical for 1 worker and N workers, with the cache on or
 /// off, and to an equivalent batch TestFloor::run over the same list.
-/// Caches cannot break this because compilation is pure (see job.hpp);
-/// stealing cannot because results land by slot, never by completion.
+/// The cache cannot break this because compilation is pure (see job.hpp);
+/// completion order cannot because results land by slot.
 /// Parallelism comes from `workers` alone: each job runs every stage on
 /// the thread of the worker that popped it.
 
@@ -44,6 +44,7 @@
 #include "floor/health.hpp"
 #include "floor/job.hpp"
 #include "floor/job_queue.hpp"
+#include "floor/program_cache.hpp"
 #include "floor/report.hpp"
 #include "floor/telemetry.hpp"
 #include "obs/metrics.hpp"
@@ -59,7 +60,9 @@ struct FloorConfig {
   /// Jobs allowed to wait in the queue before submit() blocks (and
   /// try_submit() refuses); 0 means unbounded — batch semantics.
   std::size_t queue_capacity = 0;
-  /// Per-worker program-cache entries (LRU); 0 disables caching.
+  /// Program-cache entries per worker: the floor's one shared cache holds
+  /// cache_capacity × workers recipes (segmented LRU, see
+  /// program_cache.hpp); 0 disables caching.
   std::size_t cache_capacity = 16;
   /// Gates the cache's verdict tier (full-result reuse of recipes that
   /// already ran cleanly — see program_cache.hpp). The program tier
@@ -191,6 +194,7 @@ class FloorSession {
   std::unique_ptr<obs::Registry> registry_;  ///< null when metrics off
   FloorMetricIds ids_;                       ///< valid when registry_ set
   std::unique_ptr<obs::TraceRecorder> trace_;  ///< null when tracing off
+  ProgramCache cache_;  ///< shared by every worker
   JobQueue queue_;
   std::chrono::steady_clock::time_point start_;
   /// Per-worker busy time in µs; atomic because stats_snapshot() reads

@@ -83,7 +83,6 @@ std::string FloorStats::to_json() const {
      << ",\"capacity\":" << queue.capacity
      << ",\"high_water\":" << queue.high_water
      << ",\"pushed\":" << queue.pushed << ",\"popped\":" << queue.popped
-     << ",\"steals\":" << queue.steals
      << ",\"backpressure_engages\":" << queue.backpressure_engages
      << ",\"backpressure_releases\":" << queue.backpressure_releases
      << '}';

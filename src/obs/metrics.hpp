@@ -3,8 +3,8 @@
 /// latency histograms with lock-free per-thread shards.
 ///
 /// ## Why shards
-/// The instrumented hot paths (the floor's worker loops, the per-worker
-/// program caches, the job pipeline's stage timers) run on N threads at
+/// The instrumented hot paths (the floor's worker loops, the shared
+/// program cache, the job pipeline's stage timers) run on N threads at
 /// once. A single shared atomic per counter would serialize those threads
 /// on cache-line ping-pong; a mutex would be worse. Instead every thread
 /// that touches a Registry gets its own *shard* — a private, cache-line-

@@ -173,9 +173,9 @@ class SessionScheduler {
 /// Pure-function form of SessionScheduler::schedule_with: builds the
 /// scheduler and dispatches in one call. Because the result is a
 /// deterministic function of exactly (\p cores, \p bus_width, \p s),
-/// this is the memoizable scheduling entry point: the floor's per-worker
-/// program caches (src/floor/) key compiled programs on a digest of those
-/// three inputs and reuse the returned Schedule byte-for-byte.
+/// this is the memoizable scheduling entry point: the floor's program
+/// cache (src/floor/) keys compiled programs on a digest of those three
+/// inputs and reuses the returned Schedule byte-for-byte.
 [[nodiscard]] Schedule schedule_with(const std::vector<CoreTestSpec>& cores,
                                      unsigned bus_width, Strategy s,
                                      ScheduleStats* stats = nullptr);

@@ -56,11 +56,11 @@ ScheduleRunReport run_schedule(Soc& soc, SocTester& tester,
 
 /// A compiled test program: everything needed to execute one SoC's test
 /// schedule, bundled as an immutable value object. Compiling and executing
-/// are split so concurrent drivers (the src/floor/ service) can hold one
-/// CompiledProgram per job as self-contained per-worker state: a const
-/// CompiledProgram shares no mutable state with any Soc, SocTester, or
-/// other program, so distinct workers may compile and run programs for
-/// *distinct* Soc instances with no synchronization.
+/// are split so concurrent drivers (the src/floor/ service) can share
+/// compiled programs: a const CompiledProgram shares no mutable state with
+/// any Soc, SocTester, or other program, so several workers may run one
+/// program at once against their own *distinct* Soc instances with no
+/// synchronization.
 struct CompiledProgram {
   std::vector<sched::CoreTestSpec> specs;
   sched::Schedule schedule;

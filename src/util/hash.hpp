@@ -3,11 +3,10 @@
 ///
 /// std::hash gives no cross-platform / cross-run guarantees, which makes it
 /// unusable for anything that feeds a determinism contract — cache keys,
-/// affinity routing, artifact digests. StableHash is the library's answer:
-/// a fixed byte-order FNV-1a fold whose value depends only on the mixed-in
-/// data, never on the platform, the process, or the standard library.
-/// JobSpec::cache_key() (src/floor/job.cpp) and the JobQueue's worker
-/// affinity sharding are built on it.
+/// artifact digests. StableHash is the library's answer: a fixed
+/// byte-order FNV-1a fold whose value depends only on the mixed-in data,
+/// never on the platform, the process, or the standard library.
+/// JobSpec::cache_key() (src/floor/job.cpp) is built on it.
 
 #pragma once
 

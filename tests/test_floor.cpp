@@ -23,7 +23,7 @@ namespace {
 // --- JobQueue ---------------------------------------------------------------
 
 TEST(JobQueue, FifoOrderAndCloseSemantics) {
-  JobQueue queue;  // one shard: strict FIFO
+  JobQueue queue;
   for (std::size_t i = 0; i < 4; ++i) {
     JobSpec spec;
     spec.id = 100 + i;
@@ -51,11 +51,11 @@ TEST(JobQueue, FifoOrderAndCloseSemantics) {
 
 TEST(JobQueue, ConcurrentDrainDeliversEachJobExactlyOnce) {
   constexpr std::size_t kJobs = 64;
-  JobQueue queue(/*shards=*/4);
+  JobQueue queue;
   for (std::size_t i = 0; i < kJobs; ++i) {
     JobSpec spec;
     spec.id = i;
-    spec.seed = i;  // spread cache keys across the shards
+    spec.seed = i;
     EXPECT_TRUE(queue.push(spec));
   }
   queue.close();
@@ -64,8 +64,8 @@ TEST(JobQueue, ConcurrentDrainDeliversEachJobExactlyOnce) {
   std::set<std::size_t> seen;
   std::vector<std::thread> poppers;
   for (std::size_t t = 0; t < 4; ++t) {
-    poppers.emplace_back([&queue, &mu, &seen, t] {
-      while (const auto job = queue.pop(t)) {
+    poppers.emplace_back([&queue, &mu, &seen] {
+      while (const auto job = queue.pop()) {
         const std::lock_guard<std::mutex> lock(mu);
         EXPECT_TRUE(seen.insert(job->slot).second)
             << "slot " << job->slot << " delivered twice";
@@ -78,7 +78,7 @@ TEST(JobQueue, ConcurrentDrainDeliversEachJobExactlyOnce) {
 }
 
 TEST(JobQueue, BoundedCapacityBackpressure) {
-  JobQueue queue(/*shards=*/2, /*capacity=*/2);
+  JobQueue queue(/*capacity=*/2);
   EXPECT_EQ(queue.capacity(), 2u);
   EXPECT_TRUE(queue.try_push(JobSpec{}));
   EXPECT_TRUE(queue.try_push(JobSpec{}));
@@ -90,14 +90,14 @@ TEST(JobQueue, BoundedCapacityBackpressure) {
     spec.id = 42;
     EXPECT_TRUE(queue.push(spec));
   });
-  EXPECT_TRUE(queue.pop(0).has_value());  // releases the producer
+  EXPECT_TRUE(queue.pop().has_value());  // releases the producer
   producer.join();
   EXPECT_EQ(queue.pushed(), 3u);
 
   // The released push really is in the queue.
   std::size_t drained = 0;
   queue.close();
-  while (queue.pop(0).has_value()) ++drained;
+  while (queue.pop().has_value()) ++drained;
   EXPECT_EQ(drained, 2u);
 }
 
@@ -105,7 +105,7 @@ TEST(JobQueue, CloseUnblocksBlockedProducersAndPoppers) {
   // Phase 1: a producer parked on the capacity bound. With no popper to
   // free a slot, its push can only finish via close() — and must come
   // back as a graceful rejection, not a crash.
-  JobQueue full(/*shards=*/2, /*capacity=*/1);
+  JobQueue full(/*capacity=*/1);
   EXPECT_TRUE(full.push(JobSpec{}));  // queue now full
   std::thread producer([&full] { EXPECT_FALSE(full.push(JobSpec{})); });
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -115,12 +115,12 @@ TEST(JobQueue, CloseUnblocksBlockedProducersAndPoppers) {
 
   // Phase 2: poppers parked on an open-but-empty queue; a concurrent
   // close must wake every one with the shutdown signal.
-  JobQueue empty(/*shards=*/2);
+  JobQueue empty;
   std::atomic<int> null_pops{0};
   std::vector<std::thread> poppers;
   for (std::size_t t = 0; t < 2; ++t)
-    poppers.emplace_back([&empty, &null_pops, t] {
-      EXPECT_FALSE(empty.pop(t).has_value());
+    poppers.emplace_back([&empty, &null_pops] {
+      EXPECT_FALSE(empty.pop().has_value());
       ++null_pops;
     });
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -129,32 +129,13 @@ TEST(JobQueue, CloseUnblocksBlockedProducersAndPoppers) {
   EXPECT_EQ(null_pops.load(), 2);
 }
 
-TEST(JobQueue, StealingDrainsForeignShards) {
-  // All jobs share one recipe, so affinity routes every one to the same
-  // shard; a popper with a *different* home shard must steal them all.
-  JobQueue queue(/*shards=*/4);
-  JobSpec spec;
-  for (std::size_t i = 0; i < 8; ++i) {
-    spec.id = i;
-    EXPECT_TRUE(queue.push(spec));
-  }
-  queue.close();
-
-  const std::size_t home_shard = spec.cache_key() % 4;
-  const std::size_t thief = (home_shard + 1) % 4;
-  std::set<std::size_t> seen;
-  while (const auto job = queue.pop(thief)) seen.insert(job->slot);
-  EXPECT_EQ(seen.size(), 8u);
-}
-
-TEST(JobQueue, StealVersusPopRaceDeliversExactlyOnce) {
-  // Hammer the pop-vs-steal path: every job lands in one shard (shared
-  // recipe -> shared affinity), and four workers — three of them
-  // necessarily thieves — race to drain it.
+TEST(JobQueue, ManyPoppersRaceDeliversExactlyOnce) {
+  // Hammer the one deque: a producer throttled by backpressure while four
+  // poppers race to drain it; every slot must come out exactly once.
   constexpr std::size_t kJobs = 256;
-  JobQueue queue(/*shards=*/4, /*capacity=*/16);
+  JobQueue queue(/*capacity=*/16);
   std::thread producer([&queue] {
-    JobSpec spec;  // one recipe -> one shard
+    JobSpec spec;
     for (std::size_t i = 0; i < kJobs; ++i) {
       spec.id = i;
       EXPECT_TRUE(queue.push(spec));  // backpressure throttles us
@@ -166,8 +147,8 @@ TEST(JobQueue, StealVersusPopRaceDeliversExactlyOnce) {
   std::set<std::size_t> seen;
   std::vector<std::thread> poppers;
   for (std::size_t t = 0; t < 4; ++t) {
-    poppers.emplace_back([&queue, &mu, &seen, t] {
-      while (const auto job = queue.pop(t)) {
+    poppers.emplace_back([&queue, &mu, &seen] {
+      while (const auto job = queue.pop()) {
         const std::lock_guard<std::mutex> lock(mu);
         EXPECT_TRUE(seen.insert(job->slot).second)
             << "slot " << job->slot << " delivered twice";

@@ -1,6 +1,6 @@
 // The streaming test-floor service: live submission, slot-ordered polling,
-// bounded backpressure, graceful close, the per-worker program/verdict
-// caches, and the refactor's headline guarantee — deterministic summaries
+// bounded backpressure, graceful close, the floor-wide program/verdict
+// cache, and the refactor's headline guarantee — deterministic summaries
 // that are byte-identical across worker counts, cache settings, and the
 // batch-vs-streaming API split.
 
@@ -222,6 +222,21 @@ TEST(FloorSession, VerdictReuseRestampsJobIds) {
   EXPECT_EQ(report.program_tier_hits, 0u);
 }
 
+TEST(FloorSession, EveryWorkerHitsOnceAnyWorkerQualified) {
+  // One recipe x 64 jobs at 4 workers: at most one job per worker can be
+  // in flight before the first verdict is qualified, and every later job
+  // hits the shared cache whichever worker takes it.
+  const auto jobs = repeated_jobs(88, 64, 1);
+  FloorConfig config;
+  config.workers = 4;
+  FloorSession session(config);
+  ASSERT_EQ(session.submit_batch(jobs), jobs.size());
+  const FloorReport report = session.drain();
+  EXPECT_EQ(report.total.jobs, 64u);
+  EXPECT_GE(report.cache_hits, 60u);
+  EXPECT_TRUE(report.all_pass());
+}
+
 // --- Stage accounting -------------------------------------------------------
 
 TEST(FloorSession, StageSecondsCoverThePipeline) {
@@ -257,6 +272,71 @@ TEST(ProgramCache, LruEvictsOldestRecipe) {
   EXPECT_TRUE(cache.reuse(a).has_value());
   EXPECT_FALSE(cache.reuse(b).has_value());
   EXPECT_TRUE(cache.reuse(c).has_value());
+}
+
+TEST(ProgramCache, OneOffRecipesDoNotFlushAReusedOne) {
+  constexpr std::size_t kCapacity = 8;
+  ProgramCache cache(kCapacity);
+  JobResult result;
+  result.pass = true;
+  JobSpec reused;
+  reused.seed = 1000;
+  cache.qualify(reused, result);
+  ASSERT_TRUE(cache.reuse(reused).has_value());  // served once
+  // A scan of one-off recipes, as many as the cache holds: under plain
+  // LRU they would push the reused recipe out.
+  for (std::size_t i = 0; i < kCapacity; ++i) {
+    JobSpec one_off;
+    one_off.seed = i + 1;
+    cache.qualify(one_off, result);
+  }
+  EXPECT_EQ(cache.size(), kCapacity);
+  EXPECT_TRUE(cache.reuse(reused).has_value());
+}
+
+TEST(ProgramCache, ConcurrentTiersOnOverlappingRecipes) {
+  // Four threads drive every entry point over overlapping recipes of one
+  // cache smaller than their union, so hits, promotions, demotions and
+  // evictions interleave; TSan checks the locking, the asserts check that
+  // a served entry is always the recipe asked for.
+  obs::Registry registry;
+  const FloorMetricIds ids = register_floor_metrics(registry);
+  ProgramCache cache(6);
+  cache.set_telemetry(&registry, ids);
+  constexpr std::size_t kRecipes = 12;
+  std::vector<std::shared_ptr<const soc::CompiledProgram>> programs;
+  for (std::size_t r = 0; r < kRecipes; ++r) {
+    auto program = std::make_shared<soc::CompiledProgram>();
+    program->pattern_seed = r;
+    programs.push_back(std::move(program));
+  }
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&cache, &programs, t] {
+      for (std::size_t i = 0; i < 2000; ++i) {
+        const std::size_t r = (i * (t + 1) + t) % kRecipes;
+        JobSpec spec;
+        spec.seed = r + 1;
+        JobResult result;
+        result.pass = true;
+        result.sim_cycles = r;
+        if (const auto memo = cache.reuse(spec)) {
+          EXPECT_EQ(memo->sim_cycles, r);
+        } else if (const auto program = cache.find_program(spec)) {
+          EXPECT_EQ(program->pattern_seed, r);
+        } else {
+          cache.put_program(spec, programs[r]);
+        }
+        if (i % 3 == t % 3) cache.qualify(spec, result);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_LE(cache.size(), 6u);
+  const obs::Snapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.counter("floor.cache.lookups"), 4u * 2000u);
+  EXPECT_GT(snap.counter("floor.cache.hits.verdict"), 0u);
+  EXPECT_GT(snap.counter("floor.cache.evictions"), 0u);
 }
 
 TEST(ProgramCache, CapacityZeroDisablesEverything) {

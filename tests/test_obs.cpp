@@ -414,7 +414,6 @@ TEST(FloorTelemetry, StatsJsonWireFormatIsPinned) {
   stats.queue.high_water = 9;
   stats.queue.pushed = 41;
   stats.queue.popped = 38;
-  stats.queue.steals = 4;
   stats.queue.backpressure_engages = 5;
   stats.queue.backpressure_releases = 5;
   for (std::size_t i = 0; i < kFloorCounterCount; ++i)
@@ -439,7 +438,7 @@ TEST(FloorTelemetry, StatsJsonWireFormatIsPinned) {
       ",\"workers\":2,\"metrics_enabled\":true,\"submitted\":40"
       ",\"completed\":38,\"in_flight\":2,\"errored\":1"
       ",\"queue\":{\"depth\":3,\"capacity\":64,\"high_water\":9"
-      ",\"pushed\":41,\"popped\":38,\"steals\":4"
+      ",\"pushed\":41,\"popped\":38"
       ",\"backpressure_engages\":5,\"backpressure_releases\":5}"
       ",\"cache\":{\"lookups\":2007,\"program_hits\":3007"
       ",\"verdict_hits\":4007,\"insertions\":5007,\"evictions\":6007"

@@ -15,9 +15,10 @@ Each file must parse as JSON and carry a non-empty "records" array whose
 entries have the flat JsonReporter shape: name, params (str->str map),
 metric, and a numeric (or null, for non-finite) value. --floor additionally
 checks that the named file carries the streaming-session and
-repeated-spec-cache records bench_floor is contracted to emit (the CI floor
-gates read them, so their absence must fail loudly rather than skip the
-gate). Exits non-zero and prints one line per problem on failure.
+repeated-spec-cache records bench_floor is contracted to emit, including
+the zipf point's cache_hit_rate (the CI floor gates read them, so their
+absence must fail loudly rather than skip the gate). Exits non-zero and
+prints one line per problem on failure.
 
 Used by both the per-compiler "Bench artifact smoke" CI step and the
 bench-trajectory job, so the two can never drift apart.
@@ -75,6 +76,10 @@ FLOOR_REQUIRED_RECORDS = (
 
 FLOOR_REQUIRED_CACHE_CONFIGS = ("cold", "program_tier", "warm")
 
+# (config, metric) cache records the hit-rate gate
+# (check_perf_gates.py --floor) consumes.
+FLOOR_REQUIRED_CACHE_METRICS = (("zipf", "cache_hit_rate"),)
+
 
 def check_floor_schema(path: pathlib.Path) -> list[str]:
     """Checks the floor-specific streaming/cache/stage record contract."""
@@ -101,6 +106,15 @@ def check_floor_schema(path: pathlib.Path) -> list[str]:
         if config not in cache_configs:
             problems.append(
                 f"{path}: missing cache sweep point config={config}")
+    cache_metrics = {(r["params"].get("config"), r.get("metric"))
+                     for r in records
+                     if isinstance(r, dict) and r.get("name") == "cache"
+                     and isinstance(r.get("params"), dict)}
+    for config, metric in FLOOR_REQUIRED_CACHE_METRICS:
+        if (config, metric) not in cache_metrics:
+            problems.append(
+                f"{path}: missing cache record config={config} "
+                f"metric={metric}")
     return problems
 
 

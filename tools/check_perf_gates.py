@@ -5,8 +5,9 @@ Usage:
     check_perf_gates.py BENCH_perf.json [--floors tools/bench_floors.json]
     check_perf_gates.py --obs BENCH_obs.json --floors tools/bench_floors.json
     check_perf_gates.py --explore BENCH_explore.json
+    check_perf_gates.py --floor BENCH_floor.json --floors tools/bench_floors.json
 
-Four families of checks (docs/PERFORMANCE.md and docs/OBSERVABILITY.md
+Five families of checks (docs/PERFORMANCE.md and docs/OBSERVABILITY.md
 record the models they guard):
 
 1. Absolute floors (--floors): each entry of the floors file names a
@@ -43,6 +44,12 @@ record the models they guard):
    (c) nodes/sec scaling on the fixed-work search, hw-aware like the
    fault-sim gate: >= 2.5x at 8 threads on hosts with >= 8 hardware
    threads, >= 1.8x at 4 threads with 4-7, skipped below 4.
+
+5. Floor cache hit rate (--floor, over BENCH_floor.json from bench_floor):
+   the one-worker zipf point's cache_hit_rate must reach the
+   'floor.min_zipf_hit_rate' floor of the floors file. The point runs on
+   one worker, so its hit count is a deterministic function of the
+   cache's eviction policy: the gate is noise-free.
 
 Exits non-zero with one line per violated gate.
 """
@@ -278,6 +285,26 @@ def check_obs_overhead(path, floors_path, problems):
                 f"(> {max_eval:.0f} us)")
 
 
+def check_floor_cache(path, floors_path, problems):
+    """The zipf hit-rate floor over BENCH_floor.json (see module doc)."""
+    if not floors_path:
+        problems.append("--floor needs --floors for its hit-rate floor")
+        return
+    floor = json.loads(pathlib.Path(floors_path).read_text())["floor"]
+    minimum = floor["min_zipf_hit_rate"]
+    rates = [rec["value"] for rec in load_records(path)
+             if rec["name"] == "cache" and rec["metric"] == "cache_hit_rate"
+             and rec["params"].get("config") == "zipf"]
+    if not rates:
+        problems.append("no cache/cache_hit_rate record with config=zipf")
+        return
+    print(f"zipf cache hit rate: {rates[0]:.4f} "
+          f"(gate: >= {minimum:.4f})")
+    if rates[0] < minimum:
+        problems.append(
+            f"zipf cache hit rate {rates[0]:.4f} below floor {minimum:.4f}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("artifact", nargs="?", help="BENCH_perf.json path")
@@ -288,6 +315,9 @@ def main():
     parser.add_argument("--explore", metavar="FILE",
                         help="check parallel branch-and-bound gates over "
                              "BENCH_explore.json instead of the perf gates")
+    parser.add_argument("--floor", metavar="FILE",
+                        help="check the floor cache hit-rate gate over "
+                             "BENCH_floor.json instead of the perf gates")
     args = parser.parse_args()
 
     problems = []
@@ -295,14 +325,17 @@ def main():
         check_obs_overhead(args.obs, args.floors, problems)
     if args.explore:
         check_explore_gates(args.explore, problems)
+    if args.floor:
+        check_floor_cache(args.floor, args.floors, problems)
     if args.artifact:
         values = load_values(args.artifact)
         if args.floors:
             check_floors(values, args.floors, problems)
         check_thread_scaling(values, problems)
-    elif not args.obs and not args.explore:
+    elif not args.obs and not args.explore and not args.floor:
         parser.error("need BENCH_perf.json, --obs BENCH_obs.json, "
-                     "and/or --explore BENCH_explore.json")
+                     "--explore BENCH_explore.json and/or "
+                     "--floor BENCH_floor.json")
 
     for problem in problems:
         print(f"GATE FAILED: {problem}", file=sys.stderr)

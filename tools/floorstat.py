@@ -67,7 +67,6 @@ def print_snapshot(s):
           + (f"/{capacity}" if capacity else "")
           + f" high_water={queue.get('high_water', 0)}"
           f" pushed={queue.get('pushed', 0)} popped={queue.get('popped', 0)}"
-          f" steals={queue.get('steals', 0)}"
           f" backpressure={queue.get('backpressure_engages', 0)}")
     lookups = cache.get("lookups", 0)
     hits = cache.get("program_hits", 0) + cache.get("verdict_hits", 0)
