@@ -14,10 +14,8 @@
 /// while the workers run, producer throttled by the bounded queue — and
 /// verifies the streamed report is byte-identical to the batch adapter's.
 ///
-/// Part 3 (cache): a repeated-spec mix run cold, with the program tier
-/// only, and with full verdict reuse, reporting each tier's honest
-/// speedup. For paper-sized SoCs scheduling is cheap, so the program tier
-/// is expected to be ~1x; verdict reuse is the production win. A last
+/// Part 3 (cache): a repeated-spec mix run cold and with the cache of
+/// qualified verdicts, reporting the cache's honest speedup. A last
 /// `zipf` point draws a catalogue larger than the cache with Zipf (s = 1)
 /// popularity and runs it on one worker, so its hit count is a
 /// deterministic function of the eviction policy (the CI hit-rate floor
@@ -198,7 +196,7 @@ int main() {
              std::uint64_t{streaming_deterministic ? 1u : 0u});
 
   // --- Part 3: repeated-spec mix through the floor's cache ------------------
-  banner("FLOOR-CACHE", "repeated-spec mix: program tier + verdict reuse");
+  banner("FLOOR-CACHE", "repeated-spec mix: verdict reuse");
 
   constexpr std::size_t kCacheJobs = 48;
   constexpr std::size_t kDistinct = 4;
@@ -215,12 +213,10 @@ int main() {
   struct CachePoint {
     const char* label;
     std::size_t cache_capacity;
-    bool reuse_verdicts;
   };
   const CachePoint points[] = {
-      {"cold", 0, false},
-      {"program_tier", 16, false},
-      {"warm", 16, true},
+      {"cold", 0},
+      {"warm", 16},
   };
 
   double cold_pps = 0.0;
@@ -235,7 +231,6 @@ int main() {
     FloorConfig config;
     config.workers = 4;
     config.cache_capacity = point.cache_capacity;
-    config.reuse_verdicts = point.reuse_verdicts;
     const FloorReport report = TestFloor(config).run(repeated);
 
     const double pps = report.programs_per_sec();

@@ -136,7 +136,7 @@ int main() {
   // --- Head 2: whole-floor overhead --------------------------------------
   // A repeated-spec mix (4 distinct recipes over 24 jobs) on 2 workers:
   // heavy enough that the jobs dominate, cache-diverse enough that all
-  // instrument sites fire (lookups, both tiers, stage timers, spans).
+  // instrument sites fire (lookups, hits, stage timers, spans).
   const floor::JobFactory factory(97);
   std::vector<floor::JobSpec> specs;
   constexpr std::size_t kJobs = 24;

@@ -13,15 +13,17 @@
 ///
 /// --workers 0 (the default) uses one worker per hardware thread.
 /// --strategy forces one scheduling strategy onto every job (the factory
-/// otherwise mixes them). --stream drives the live FloorSession API
-/// instead of the batch adapter: jobs are submitted while the workers run
-/// (throttled by --queue-capacity) and results are printed as they
-/// complete, in arrival order. --cache sets the program-cache entries per
-/// worker: the floor's one shared cache holds C x workers recipes (0
-/// disables it). Each job runs on the thread of the worker that picked it
-/// up. --summary additionally prints the deterministic
-/// aggregate summary — the text that is guaranteed byte-identical for any
-/// worker count, batch or streaming, cache on or off, at a fixed seed.
+/// otherwise mixes them); `best` is refused, since it may pick
+/// rail-emulation schedules the tester cannot execute. --stream drives
+/// the live FloorSession API instead of the batch adapter: jobs are
+/// submitted while the workers run (throttled by --queue-capacity) and
+/// results are printed as they complete, in arrival order. --cache sets
+/// the cache entries per worker: the floor's one shared cache of
+/// qualified results holds C x workers recipes (0 disables it). Each job
+/// runs on the thread of the worker that picked it up. --summary
+/// additionally prints the deterministic aggregate summary — the text
+/// that is guaranteed byte-identical for any worker count, batch or
+/// streaming, cache on or off, at a fixed seed.
 ///
 /// Telemetry (docs/OBSERVABILITY.md):
 ///   --stats-json FILE       write the final FloorStats snapshot as
@@ -54,6 +56,7 @@
 #include <iostream>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -239,8 +242,13 @@ int main(int argc, char** argv) {
       else if (cli.is("--seed")) seed = std::stoull(cli.value());
       else if (cli.is("--scenario-mix"))
         mix = parse_scenario_mix(cli.value());
-      else if (cli.is("--strategy"))
+      else if (cli.is("--strategy")) {
         strategy = casbus::sched::strategy_from_name(cli.value());
+        if (*strategy == casbus::sched::Strategy::Best)
+          throw std::invalid_argument(
+              "--strategy best may pick rail-emulation schedules, which "
+              "the tester cannot execute");
+      }
       else if (cli.is("--patterns-per-ff"))
         patterns_per_ff = std::stoul(cli.value());
       else if (cli.is("--queue-capacity"))

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
 #include <string>
+#include <vector>
 
 #include "floor/program_cache.hpp"
 #include "floor/telemetry.hpp"
@@ -144,12 +144,10 @@ tpg::SyntheticCoreSpec job_core_spec(Rng& rng, std::size_t chains) {
   return spec;
 }
 
-/// Scheduled scenarios (ScanOnly / BistJoin): synthesize the SoC, compile
-/// via the analytic scheduler — or pull the compiled program straight from
-/// the floor's cache — then execute cycle-accurately.
+/// Scheduled scenarios (ScanOnly / BistJoin): synthesize the SoC, schedule
+/// it with the analytic scheduler, then execute cycle-accurately.
 void run_scheduled(const JobSpec& spec, bool with_engines, Rng& rng,
-                   ProgramCache* cache, bool verify,
-                   const JobTelemetry& obs, JobResult& result) {
+                   bool verify, const JobTelemetry& obs, JobResult& result) {
   StageTimer timer(result, obs);
 
   // ---- Stage: Build -------------------------------------------------------
@@ -185,57 +183,40 @@ void run_scheduled(const JobSpec& spec, bool with_engines, Rng& rng,
   auto soc = builder.build();
   timer.finish(Stage::Build);
 
-  // The pattern seed is drawn whether or not the cache hits, so cached and
-  // cold runs consume the job RNG identically — a precondition of the
-  // cache-on == cache-off determinism guarantee.
+  // The job RNG's next draw after Build seeds run_schedule's patterns.
   const std::uint64_t pattern_seed = rng.next();
 
-  // ---- Stages: Schedule + Compile (the program-cache window) --------------
-  std::shared_ptr<const soc::CompiledProgram> program =
-      cache ? cache->find_program(spec) : nullptr;
-  if (program) {
-    result.cache_tier = CacheTier::Program;
-    // The cache verified recipe equality, and equal recipes reproduce the
-    // pattern seed — so a served program is exactly the cold compile.
-    CASBUS_ASSERT(program->pattern_seed == pattern_seed,
-                  "ProgramCache served a mismatched program");
-  } else {
-    auto fresh = std::make_shared<soc::CompiledProgram>();
-    fresh->specs = soc::specs_of(*soc, spec.patterns_per_ff);
-    sched::ScheduleStats sched_stats;
-    fresh->schedule =
-        sched::schedule_with(fresh->specs, soc->bus().width(), spec.strategy,
-                             &sched_stats);
-    result.engine.sched_nodes_expanded = sched_stats.nodes_expanded;
-    result.engine.sched_prunes = sched_stats.prunes;
-    result.engine.sched_improvements = sched_stats.incumbent_improvements;
-    result.engine.sched_leaves_priced = sched_stats.leaves_priced;
-    timer.finish(Stage::Schedule);
-    fresh->pattern_seed = pattern_seed;
-    if (cache) cache->put_program(spec, fresh);
-    program = std::move(fresh);
-    timer.finish(Stage::Compile);
-  }
+  // ---- Stage: Schedule ----------------------------------------------------
+  const std::vector<sched::CoreTestSpec> specs =
+      soc::specs_of(*soc, spec.patterns_per_ff);
+  sched::ScheduleStats sched_stats;
+  const sched::Schedule schedule = sched::schedule_with(
+      specs, soc->bus().width(), spec.strategy, &sched_stats);
+  result.engine.sched_nodes_expanded = sched_stats.nodes_expanded;
+  result.engine.sched_prunes = sched_stats.prunes;
+  result.engine.sched_improvements = sched_stats.incumbent_improvements;
+  result.engine.sched_leaves_priced = sched_stats.leaves_priced;
+  timer.finish(Stage::Schedule);
 
   // ---- Stage: Verify ------------------------------------------------------
   if (verify) {
     verify::LintReport lint = lint_soc(*soc);
-    lint.merge(verify::lint_schedule(program->schedule, program->specs,
-                                     soc->bus().width()));
+    lint.merge(verify::lint_schedule(schedule, specs, soc->bus().width()));
     if (!verify_stage(lint, timer, result)) return;
   }
 
   // ---- Stage: Simulate ----------------------------------------------------
   soc::SocTester tester(*soc);
   const soc::ScheduleRunReport report =
-      soc::run_program(*soc, tester, *program);
+      soc::run_schedule(*soc, tester, specs, schedule, pattern_seed);
   harvest_tester(tester, result);
   timer.finish(Stage::Simulate);
 
   // ---- Stage: Verdict -----------------------------------------------------
   result.cores = soc->core_count();
   result.sessions = report.sessions;
-  result.patterns = program->total_patterns();
+  for (const sched::CoreTestSpec& core : specs)
+    result.patterns += core.patterns;
   result.predicted_cycles = report.predicted_cycles;
   result.measured_cycles = report.measured_cycles;
   result.sim_cycles = tester.cycles();
@@ -407,7 +388,6 @@ ScenarioKind scenario_from_name(std::string_view name) {
 const char* cache_tier_name(CacheTier tier) noexcept {
   switch (tier) {
     case CacheTier::None: return "none";
-    case CacheTier::Program: return "program";
     case CacheTier::Verdict: return "verdict";
   }
   return "unknown";
@@ -448,7 +428,7 @@ namespace {
 /// Terminal telemetry of one run_job call: the engine-counter metrics and
 /// the job-level span (category "job", tagged with the serving cache
 /// tier). Stage spans/histograms were already emitted by the StageTimer —
-/// or not at all, for a verdict-tier serve, which is exactly the "one
+/// or not at all, for a cache hit, which is exactly the "one
 /// span per stage per *executed* job" contract.
 void emit_job_telemetry(const JobTelemetry& obs, const JobResult& result,
                         std::uint64_t job_start_us) {
@@ -484,7 +464,7 @@ JobResult run_job(const JobSpec& spec, ProgramCache* cache, bool verify,
   const std::uint64_t job_start_us =
       obs.trace != nullptr ? obs.trace->now_us() : 0;
 
-  // Verdict tier: a recipe the floor already ran cleanly skips the
+  // Cache hit: a recipe the floor already ran cleanly skips the
   // whole pipeline — run_job is pure, so the qualified result *is* what a
   // re-run would compute (only id and timing are job-specific).
   if (cache) {
@@ -504,12 +484,10 @@ JobResult run_job(const JobSpec& spec, ProgramCache* cache, bool verify,
     Rng rng(spec.seed);
     switch (spec.scenario) {
       case ScenarioKind::ScanOnly:
-        run_scheduled(spec, /*with_engines=*/false, rng, cache, verify, obs,
-                      result);
+        run_scheduled(spec, /*with_engines=*/false, rng, verify, obs, result);
         break;
       case ScenarioKind::BistJoin:
-        run_scheduled(spec, /*with_engines=*/true, rng, cache, verify, obs,
-                      result);
+        run_scheduled(spec, /*with_engines=*/true, rng, verify, obs, result);
         break;
       case ScenarioKind::Hierarchical:
         run_hierarchical(spec, rng, verify, obs, result);

@@ -14,9 +14,9 @@
 /// private seed — the floor derives it as Rng::derive_stream(floor_seed,
 /// job id) (see util/rng.hpp), which is what makes a whole floor run's
 /// aggregates byte-identical for 1 and N workers. An optional floor-wide
-/// ProgramCache may serve the Schedule+Compile stages for repeated specs;
-/// because compilation is itself pure, a cache hit reproduces the cold
-/// path's program bit-for-bit and the contract is unchanged.
+/// ProgramCache may serve a repeated spec's qualified result; because the
+/// job is pure, a cache hit reproduces the cold path's result and the
+/// contract is unchanged.
 
 #pragma once
 
@@ -55,18 +55,19 @@ inline constexpr std::size_t kScenarioCount = 4;
 [[nodiscard]] ScenarioKind scenario_from_name(std::string_view name);
 
 /// The named stages of the run_job pipeline, in execution order. Every job
-/// flows Build -> (Schedule -> Compile, skipped on a program-cache hit) ->
-/// Verify -> Simulate -> Verdict; scenarios the analytic scheduler cannot
-/// express (Hierarchical/Maintenance) charge their hand-assembled session
-/// setup to Compile and leave Schedule at zero. Verify is the static
+/// flows Build -> Schedule -> Compile -> Verify -> Simulate -> Verdict.
+/// Scheduled scenarios (ScanOnly/BistJoin) run the analytic scheduler in
+/// Schedule and leave Compile at zero; scenarios it cannot express
+/// (Hierarchical/Maintenance) charge their hand-assembled session setup
+/// to Compile and leave Schedule at zero. Verify is the static
 /// admission gate (src/verify/): it lints every generated netlist and the
 /// compiled schedule in microseconds, so a malformed design fails fast
 /// instead of burning the Simulate stage; FloorConfig::verify (or the
 /// run_job parameter) skips it.
 enum class Stage {
   Build,     ///< synthesize the SoC (cores, wrappers, CAS-BUS)
-  Schedule,  ///< analytic scheduling (sched::schedule_with)
-  Compile,   ///< bundle the executable program / assemble sessions
+  Schedule,  ///< analytic scheduling (specs_of + sched::schedule_with)
+  Compile,   ///< assemble hand-built sessions (hier / maint)
   Verify,    ///< static lint of netlists + schedule (verify/)
   Simulate,  ///< cycle-accurate execution through the tester
   Verdict,   ///< harvest pass/fail and cycle accounting
@@ -91,36 +92,36 @@ struct JobSpec {
   std::size_t patterns_per_ff = 1;///< scan-pattern budget scale
 
   /// Canonical signature of every field that determines the job's SoC,
-  /// schedule, and compiled program — everything except id (two jobs that
-  /// differ only in id are reruns of the same recipe). Stable across
-  /// platforms and runs (util/hash.hpp). Equal keys mean byte-identical
-  /// deterministic results, which is what makes the floor's program cache
-  /// sound.
+  /// schedule, and result — everything except id (two jobs that differ
+  /// only in id are reruns of the same recipe). Stable across platforms
+  /// and runs (util/hash.hpp). Equal keys mean byte-identical
+  /// deterministic results, which is what makes the floor's cache sound.
   [[nodiscard]] std::uint64_t cache_key() const noexcept;
 
   /// True when \p other is the same recipe: every field except id equal.
   /// The cache compares recipes on every key match, so a hash collision
-  /// degrades to a miss instead of serving the wrong program.
+  /// degrades to a miss instead of serving the wrong result.
   [[nodiscard]] bool same_recipe(const JobSpec& other) const noexcept;
 };
 
-/// Which cache tier served a job, if any (see program_cache.hpp). Not
+/// Whether the cache served a job (see program_cache.hpp). Not
 /// deterministic: it depends on job interleaving and worker count, so it
 /// is excluded from digests like all timing.
 enum class CacheTier : std::uint8_t {
-  None,     ///< executed cold (or cache disabled)
-  Program,  ///< Schedule+Compile skipped (compiled program reused)
-  Verdict,  ///< whole pipeline skipped (qualified result reused)
+  None = 0,     ///< executed cold (or cache disabled)
+  /// Whole pipeline skipped (qualified result reused). 2, not 1: raw job
+  /// records carry the tier as this number, and their readers
+  /// (perfbench/run.py) take 2 for a verdict hit.
+  Verdict = 2,
 };
 
-/// Stable short name ("none", "program", "verdict") — the vocabulary of
-/// report breakdowns, trace args, and metric names.
+/// Stable short name ("none", "verdict") — the vocabulary of trace args.
 [[nodiscard]] const char* cache_tier_name(CacheTier tier) noexcept;
 
 /// Work counters harvested from the engines a job ran — scheduler search
 /// effort, golden-model memoisation, packed-simulation evaluation. All
 /// observability payload: they never feed back into any computation, are
-/// excluded from digests (a verdict-tier hit legitimately reports zeros),
+/// excluded from digests (a cache hit legitimately reports zeros),
 /// and cost nothing to carry when telemetry is off.
 struct JobEngineCounters {
   std::uint64_t sim_memo_lookups = 0;   ///< tester golden-response probes
@@ -160,7 +161,7 @@ struct JobResult {
   /// Per-stage wall time, indexed by Stage. NOT deterministic (timing),
   /// excluded from digests like wall_seconds.
   std::array<double, kStageCount> stage_seconds{};
-  /// The cache tier that served this job (None = executed cold). NOT
+  /// Whether the cache served this job (None = executed cold). NOT
   /// deterministic (depends on job interleaving and worker count),
   /// excluded from digests.
   CacheTier cache_tier = CacheTier::None;
@@ -168,7 +169,7 @@ struct JobResult {
   /// aggregate — a cache-served job reports zeros — excluded from digests.
   JobEngineCounters engine;
 
-  /// True when any cache tier served this job.
+  /// True when the cache served this job.
   [[nodiscard]] bool cache_hit() const noexcept {
     return cache_tier != CacheTier::None;
   }
@@ -213,20 +214,18 @@ struct JobTelemetry {
 /// so verify-on and verify-off runs of an admissible spec produce equal
 /// deterministic result fields.
 ///
-/// When \p cache is non-null, repeated recipes are served from it at two
-/// tiers (see program_cache.hpp): the Schedule+Compile stages of scheduled
-/// scenarios reuse the cached CompiledProgram, and — when the cache has
-/// verdict reuse enabled — a recipe that already ran cleanly skips the
+/// When \p cache is non-null, a recipe that already ran cleanly skips the
 /// whole pipeline and returns its qualified result re-stamped with this
-/// job's id. Neither tier can change any deterministic result field,
-/// because run_job is pure: a cached program/verdict is byte-identical to
-/// what a cold run would recompute, so cache-on and cache-off runs produce
-/// equal deterministic_summary() text. The cache must be private to the
-/// calling thread (the floor gives each worker its own).
+/// job's id (see program_cache.hpp), and a clean cold run qualifies its
+/// recipe. This cannot change any deterministic result field, because
+/// run_job is pure: a qualified result is byte-identical to what a cold
+/// run would recompute, so cache-on and cache-off runs produce equal
+/// deterministic_summary() text. The cache is thread-safe; the floor
+/// shares one among all its workers.
 ///
 /// \p obs carries the floor's telemetry sinks (JobTelemetry); the default
 /// runs with telemetry off. Spans and counters are emitted per executed
-/// stage — a verdict-tier hit emits none (no stage ran).
+/// stage — a cache hit emits none (no stage ran).
 [[nodiscard]] JobResult run_job(const JobSpec& spec, ProgramCache* cache,
                                 bool verify = true,
                                 const JobTelemetry& obs = {}) noexcept;

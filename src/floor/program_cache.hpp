@@ -1,43 +1,30 @@
 /// \file program_cache.hpp
-/// The floor-wide, scan-resistant cache over the expensive, *pure* parts
-/// of run_job.
+/// The floor-wide, scan-resistant cache of qualified job results.
 ///
 /// A test floor re-running a spec it has already run is doing work whose
 /// outcome it provably knows: run_job is a pure function of the JobSpec
-/// (see job.hpp), so everything downstream of the spec can be memoized.
-/// The cache exploits that at two tiers, both keyed by the canonical
-/// recipe (JobSpec::cache_key(), verified field-by-field so a hash
-/// collision degrades to a miss, never to a wrong answer):
+/// (see job.hpp). So a recipe that has already executed cleanly is served
+/// its qualified JobResult, re-stamped with the new job id, skipping the
+/// whole pipeline. This is the production-floor "program qualification"
+/// pattern: the first run of a program is validated cycle-accurately,
+/// repeats reuse the qualification record. It is what makes a
+/// repeated-spec mix measurably faster, since simulation dominates job
+/// cost. Results that errored are never qualified (an error may be
+/// environmental, e.g. bad_alloc, and so is not provably pure). Entries
+/// are keyed by the canonical recipe (JobSpec::cache_key(), verified
+/// field-by-field so a hash collision degrades to a miss, never to a
+/// wrong answer).
 ///
-/// 1. **Program tier** — the Schedule+Compile stages of scheduled
-///    scenarios: the immutable soc::CompiledProgram is kept and re-run
-///    against the job's freshly built SoC, skipping straight to
-///    simulation. Sound because compilation is pure (sched::schedule_with
-///    over specs_of) and a const CompiledProgram shares no mutable state
-///    with any Soc or tester. For paper-sized SoCs scheduling is cheap, so
-///    this tier is about architecture (and about strategies whose search
-///    cost grows with core count), not the headline throughput.
-///
-/// 2. **Verdict tier** (optional, on by default) — the whole pipeline: a
-///    recipe that has already executed cleanly is served its qualified
-///    JobResult, re-stamped with the new job id, skipping Build and
-///    Simulate too. This is the production-floor "program qualification"
-///    pattern: the first run of a program is validated cycle-accurately,
-///    repeats reuse the qualification record. It is what makes a
-///    repeated-spec mix measurably faster, since simulation dominates job
-///    cost. Results that errored are never qualified (an error may be
-///    environmental, e.g. bad_alloc, and so is not provably pure).
-///
-/// Neither tier can change a deterministic result field — cache-on and
+/// The cache cannot change a deterministic result field — cache-on and
 /// cache-off floors produce byte-identical deterministic_summary() text,
 /// which tests/test_floor_session.cpp enforces.
 ///
 /// ## Eviction: segmented LRU
-/// A new recipe enters a *probation* list. A recipe the cache serves (a
-/// verdict or program hit) moves to a *protected* list that holds at most
-/// 3/4 of the capacity; the protected list's least recently used entry
-/// is demoted back to the front of probation when it overflows. Eviction
-/// always takes probation's least recently used entry. So a stream of
+/// A new recipe enters a *probation* list. A recipe the cache serves
+/// moves to a *protected* list that holds at most 3/4 of the capacity;
+/// the protected list's least recently used entry is demoted back to the
+/// front of probation when it overflows. Eviction always takes
+/// probation's least recently used entry. So a stream of
 /// one-off recipes can only cycle through probation and never flushes a
 /// recipe the floor has reused, while recipes that were never reused are
 /// still evicted in plain LRU order.
@@ -48,23 +35,19 @@
 /// takes a job hits once any worker has qualified the recipe. One mutex
 /// guards the entries; every member is safe to call from any thread
 /// except set_telemetry(), which must precede concurrent use. Served
-/// programs are shared_ptr<const> and stay valid after their entry is
-/// evicted.
+/// results are copies and stay valid after their entry is evicted.
 
 #pragma once
 
 #include <cstdint>
 #include <iterator>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
-#include <utility>
 
 #include "floor/telemetry.hpp"
 #include "obs/metrics.hpp"
-#include "soc/schedule_runner.hpp"
 #include "util/error.hpp"
 
 namespace casbus::floor {
@@ -72,15 +55,12 @@ namespace casbus::floor {
 class ProgramCache {
  public:
   /// \p capacity is the recipe-entry bound; 0 disables the cache entirely
-  /// (every lookup misses, every store is a no-op). \p reuse_verdicts
-  /// gates the verdict tier; the program tier is always on when the cache
-  /// is.
-  explicit ProgramCache(std::size_t capacity, bool reuse_verdicts = true)
+  /// (every lookup misses, every store is a no-op).
+  explicit ProgramCache(std::size_t capacity)
       : capacity_(capacity),
-        protected_capacity_(capacity / 4 * 3 + capacity % 4 * 3 / 4),
-        reuse_verdicts_(reuse_verdicts) {}
+        protected_capacity_(capacity / 4 * 3 + capacity % 4 * 3 / 4) {}
 
-  /// Binds a metric registry: every tier event is then added to its
+  /// Binds a metric registry: every cache event is then added to its
   /// floor.cache.* counter (on the calling thread's shard). Call before
   /// the first lookup; \p ids must outlive the cache.
   void set_telemetry(obs::Registry* registry, const FloorMetricIds& ids) {
@@ -88,20 +68,19 @@ class ProgramCache {
     ids_ = &ids;
   }
 
-  /// Verdict tier: the qualified result of a recipe that already ran
-  /// cleanly, re-stamped as a CacheTier::Verdict serve with this
-  /// execution's timing and engine counters zeroed (nothing ran — the
-  /// zeros are the explicit record of that, paired with the tier tag) —
-  /// or nullopt. Counts one lookup (and, when served, one verdict hit).
+  /// The qualified result of a recipe that already ran cleanly,
+  /// re-stamped as a CacheTier::Verdict serve with this execution's
+  /// timing and engine counters zeroed (nothing ran — the zeros are the
+  /// explicit record of that, paired with the tier tag) — or nullopt.
+  /// Counts one lookup (and, when served, one verdict hit).
   [[nodiscard]] std::optional<JobResult> reuse(const JobSpec& spec) {
     count(FloorCounter::CacheLookups);
-    if (capacity_ == 0 || !reuse_verdicts_) return std::nullopt;
+    if (capacity_ == 0) return std::nullopt;
     std::optional<JobResult> result;
     {
       const std::lock_guard<std::mutex> lock(mu_);
       List::iterator* entry = find(spec);
-      if (entry == nullptr || !(*entry)->verdict.has_value())
-        return std::nullopt;
+      if (entry == nullptr) return std::nullopt;
       result = (*entry)->verdict;
       promote(*entry);
     }
@@ -116,34 +95,9 @@ class ProgramCache {
   /// Qualifies \p result as the recipe's known outcome. Callers must only
   /// pass clean (error-free) results.
   void qualify(const JobSpec& spec, const JobResult& result) {
-    if (capacity_ == 0 || !reuse_verdicts_) return;
-    const std::lock_guard<std::mutex> lock(mu_);
-    obtain(spec)->verdict = result;
-  }
-
-  /// Program tier: the compiled program of this recipe, or null. Counts a
-  /// hit when served (the miss was already counted by the reuse() lookup
-  /// preceding it in the pipeline).
-  [[nodiscard]] std::shared_ptr<const soc::CompiledProgram> find_program(
-      const JobSpec& spec) {
-    if (capacity_ == 0) return nullptr;
-    std::shared_ptr<const soc::CompiledProgram> program;
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      List::iterator* entry = find(spec);
-      if (entry == nullptr || (*entry)->program == nullptr) return nullptr;
-      program = (*entry)->program;
-      promote(*entry);
-    }
-    count(FloorCounter::CacheProgramHits);
-    return program;
-  }
-
-  void put_program(const JobSpec& spec,
-                   std::shared_ptr<const soc::CompiledProgram> program) {
     if (capacity_ == 0) return;
     const std::lock_guard<std::mutex> lock(mu_);
-    obtain(spec)->program = std::move(program);
+    obtain(spec)->verdict = result;
   }
 
   [[nodiscard]] std::size_t size() const {
@@ -151,15 +105,11 @@ class ProgramCache {
     return probation_.size() + protected_.size();
   }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] bool reuse_verdicts() const noexcept {
-    return reuse_verdicts_;
-  }
 
  private:
   struct Entry {
     JobSpec recipe;  ///< canonical fields; id is meaningless here
-    std::shared_ptr<const soc::CompiledProgram> program;
-    std::optional<JobResult> verdict;
+    JobResult verdict;
     bool kept = false;  ///< in protected_ (else in probation_)
   };
   using List = std::list<Entry>;  ///< front = most recently used
@@ -202,7 +152,7 @@ class ProgramCache {
 
   /// Finds or inserts the recipe's entry (refreshing it, never promoting
   /// it), evicting probation's least recently used entry when over
-  /// capacity. Caller fills in program/verdict.
+  /// capacity. Caller fills in the verdict.
   [[nodiscard]] List::iterator obtain(const JobSpec& spec) {
     const std::uint64_t key = spec.cache_key();
     const auto it = index_.find(key);
@@ -212,8 +162,6 @@ class ProgramCache {
       // newcomer starts on probation like any new recipe.
       if (!e->recipe.same_recipe(spec)) {
         e->recipe = spec;
-        e->program = nullptr;
-        e->verdict.reset();
         probation_.splice(probation_.begin(), segment(e), e);
         e->kept = false;
         count(FloorCounter::CacheEvictions);
@@ -223,7 +171,7 @@ class ProgramCache {
       }
       return e;
     }
-    probation_.push_front(Entry{spec, nullptr, std::nullopt});
+    probation_.push_front(Entry{spec, JobResult{}});
     index_[key] = probation_.begin();
     count(FloorCounter::CacheInsertions);
     if (probation_.size() + protected_.size() > capacity_) {
@@ -245,7 +193,6 @@ class ProgramCache {
 
   const std::size_t capacity_;
   const std::size_t protected_capacity_;  ///< floor(3/4 × capacity_)
-  const bool reuse_verdicts_;
   obs::Registry* registry_ = nullptr;
   const FloorMetricIds* ids_ = nullptr;
 

@@ -52,18 +52,7 @@ FloorReport aggregate_results(std::vector<JobResult> results,
     fold(report.total, r);
     for (std::size_t s = 0; s < kStageCount; ++s)
       report.stage_seconds[s] += r.stage_seconds[s];
-    switch (r.cache_tier) {
-      case CacheTier::None:
-        break;
-      case CacheTier::Program:
-        ++report.cache_hits;
-        ++report.program_tier_hits;
-        break;
-      case CacheTier::Verdict:
-        ++report.cache_hits;
-        ++report.verdict_tier_hits;
-        break;
-    }
+    if (r.cache_hit()) ++report.cache_hits;
   }
   return report;
 }
@@ -101,9 +90,8 @@ void FloorReport::print(std::ostream& os) const {
   for (std::size_t s = 0; s < kStageCount; ++s)
     os << ' ' << stage_name(static_cast<Stage>(s)) << '='
        << fixed6(stage_seconds[s]) << "s";
-  os << "\n  program cache: " << cache_hits << "/" << total.jobs
-     << " jobs served from cache (program tier " << program_tier_hits
-     << ", verdict tier " << verdict_tier_hits << ")\n";
+  os << "\n  cache: " << cache_hits << "/" << total.jobs
+     << " jobs served a qualified verdict\n";
   for (std::size_t k = 0; k < kScenarioCount; ++k) {
     if (scenario[k].jobs == 0) continue;
     os << "  ";

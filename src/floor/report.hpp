@@ -51,14 +51,10 @@ struct FloorReport {
   /// wall_seconds this is timing, NOT deterministic, and excluded from
   /// deterministic_summary().
   std::array<double, kStageCount> stage_seconds{};
-  /// Jobs served from any cache tier (== program_tier_hits +
-  /// verdict_tier_hits). NOT deterministic (depends on interleaving);
-  /// excluded from the summary.
+  /// Jobs the cache served a qualified verdict (CacheTier::Verdict), so
+  /// their whole pipeline was skipped. NOT deterministic (depends on
+  /// interleaving); excluded from the summary.
   std::size_t cache_hits = 0;
-  /// Jobs whose Schedule+Compile stages were skipped (CacheTier::Program).
-  std::size_t program_tier_hits = 0;
-  /// Jobs whose whole pipeline was skipped (CacheTier::Verdict).
-  std::size_t verdict_tier_hits = 0;
 
   [[nodiscard]] bool all_pass() const {
     return total.jobs == total.passed;

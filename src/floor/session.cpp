@@ -23,12 +23,11 @@ std::size_t floor_cache_capacity(std::size_t per_worker,
 FloorSession::FloorSession(FloorConfig config)
     : config_(std::move(config)),
       workers_(effective_workers(config_.workers)),
-      cache_(floor_cache_capacity(config_.cache_capacity, workers_),
-             config_.reuse_verdicts),
+      cache_(floor_cache_capacity(config_.cache_capacity, workers_)),
       queue_(config_.queue_capacity),
       start_(std::chrono::steady_clock::now()) {
   // Health implies metrics: the rule catalogue reads registry-backed
-  // counters (cache tiers, stage p99s), so enabling the monitor without
+  // counters (cache hits, stage p99s), so enabling the monitor without
   // the registry would judge zeros.
   if (config_.metrics || config_.health.enabled) {
     registry_ = std::make_unique<obs::Registry>();

@@ -1,7 +1,7 @@
 /// \file session.hpp
 /// The streaming test-floor service: a long-running worker pool that
 /// accepts jobs *while it runs*, with bounded backpressure, one FIFO job
-/// queue and one floor-wide program cache.
+/// queue and one floor-wide cache of qualified results.
 ///
 /// Architecture (one FloorSession):
 ///
@@ -25,7 +25,7 @@
 /// deterministic_summary() — is a function of the submitted job list
 /// alone: byte-identical for 1 worker and N workers, with the cache on or
 /// off, and to an equivalent batch TestFloor::run over the same list.
-/// The cache cannot break this because compilation is pure (see job.hpp);
+/// The cache cannot break this because run_job is pure (see job.hpp);
 /// completion order cannot because results land by slot.
 /// Parallelism comes from `workers` alone: each job runs every stage on
 /// the thread of the worker that popped it.
@@ -60,14 +60,10 @@ struct FloorConfig {
   /// Jobs allowed to wait in the queue before submit() blocks (and
   /// try_submit() refuses); 0 means unbounded — batch semantics.
   std::size_t queue_capacity = 0;
-  /// Program-cache entries per worker: the floor's one shared cache holds
-  /// cache_capacity × workers recipes (segmented LRU, see
+  /// Cache entries per worker: the floor's one shared cache of qualified
+  /// results holds cache_capacity × workers recipes (segmented LRU, see
   /// program_cache.hpp); 0 disables caching.
   std::size_t cache_capacity = 16;
-  /// Gates the cache's verdict tier (full-result reuse of recipes that
-  /// already ran cleanly — see program_cache.hpp). The program tier
-  /// (Schedule+Compile skip) is controlled by cache_capacity alone.
-  bool reuse_verdicts = true;
   /// Runs the static Verify stage (netlist + schedule lint, src/verify/)
   /// on every job before Simulate; error-grade findings fail the job
   /// without simulating. Cheap (µs per job) — disable only to measure its

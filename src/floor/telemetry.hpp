@@ -34,7 +34,6 @@ enum class FloorCounter : std::uint8_t {
   JobsExecuted,
   JobsErrored,
   CacheLookups,
-  CacheProgramHits,
   CacheVerdictHits,
   CacheInsertions,
   CacheEvictions,
@@ -55,7 +54,7 @@ enum class FloorCounter : std::uint8_t {
   KernelGateSweeps,
   KernelGateCells,
 };
-inline constexpr std::size_t kFloorCounterCount = 23;
+inline constexpr std::size_t kFloorCounterCount = 22;
 
 /// The JobEngineCounters field a counter is credited from after every
 /// job (emit_job_telemetry). A seconds field is credited in whole µs and
@@ -101,8 +100,6 @@ inline constexpr std::array<FloorCounterDef, kFloorCounterCount>
         {FloorCounter::JobsErrored, "floor.jobs.errored", "", "", {}},
         {FloorCounter::CacheLookups, "floor.cache.lookups", "cache",
          "lookups", {}},
-        {FloorCounter::CacheProgramHits, "floor.cache.hits.program",
-         "cache", "program_hits", {}},
         {FloorCounter::CacheVerdictHits, "floor.cache.hits.verdict",
          "cache", "verdict_hits", {}},
         {FloorCounter::CacheInsertions, "floor.cache.insertions", "cache",
@@ -222,13 +219,12 @@ struct FloorStats {
     return counters[static_cast<std::size_t>(c)];
   }
 
-  /// Jobs served from either cache tier.
+  /// Jobs the cache served a qualified verdict.
   [[nodiscard]] std::uint64_t cache_hits() const {
-    return counter(FloorCounter::CacheProgramHits) +
-           counter(FloorCounter::CacheVerdictHits);
+    return counter(FloorCounter::CacheVerdictHits);
   }
 
-  /// Jobs served from any cache tier / cache lookups (0 when no lookups).
+  /// Cache hits / cache lookups (0 when no lookups).
   [[nodiscard]] double cache_hit_rate() const {
     const std::uint64_t lookups = counter(FloorCounter::CacheLookups);
     return lookups == 0 ? 0.0

@@ -5,8 +5,8 @@
 /// Since the streaming refactor this is a thin adapter over FloorSession
 /// (src/floor/session.hpp): run() opens a session, submits the whole
 /// batch, and drains — one-shot callers keep the old API, and both paths
-/// share the queue, the staged run_job pipeline, the floor-wide program
-/// cache, and the determinism rule.
+/// share the queue, the staged run_job pipeline, the floor-wide cache,
+/// and the determinism rule.
 ///
 /// ## Determinism guarantee
 /// For a fixed job list (fixed floor seed), FloorReport's deterministic

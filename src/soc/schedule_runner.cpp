@@ -147,21 +147,4 @@ ScheduleRunReport run_schedule(Soc& soc, SocTester& tester,
   return report;
 }
 
-CompiledProgram compile_program(const Soc& soc, sched::Strategy strategy,
-                                std::size_t patterns_per_ff,
-                                std::uint64_t pattern_seed) {
-  CompiledProgram program;
-  program.specs = specs_of(soc, patterns_per_ff);
-  program.pattern_seed = pattern_seed;
-  program.schedule =
-      sched::schedule_with(program.specs, soc.bus().width(), strategy);
-  return program;
-}
-
-ScheduleRunReport run_program(Soc& soc, SocTester& tester,
-                              const CompiledProgram& program) {
-  return run_schedule(soc, tester, program.specs, program.schedule,
-                      program.pattern_seed);
-}
-
 }  // namespace casbus::soc

@@ -40,8 +40,8 @@ struct ScheduleRunReport {
 /// Derives the CoreTestSpec list of \p soc's top-level cores (chain
 /// lengths from the real netlists; \p patterns_per_ff scales pattern
 /// budgets: patterns = n_flipflops * patterns_per_ff, min 1). Read-only on
-/// the SoC, so callers holding a const Soc (cache lookups, concurrent
-/// inspection) can derive specs without pretending to mutate it.
+/// the SoC, so callers holding a const Soc can derive specs without
+/// pretending to mutate it.
 std::vector<sched::CoreTestSpec> specs_of(const Soc& soc,
                                           std::size_t patterns_per_ff = 1);
 
@@ -53,43 +53,5 @@ ScheduleRunReport run_schedule(Soc& soc, SocTester& tester,
                                const std::vector<sched::CoreTestSpec>& specs,
                                const sched::Schedule& schedule,
                                std::uint64_t pattern_seed = 1);
-
-/// A compiled test program: everything needed to execute one SoC's test
-/// schedule, bundled as an immutable value object. Compiling and executing
-/// are split so concurrent drivers (the src/floor/ service) can share
-/// compiled programs: a const CompiledProgram shares no mutable state with
-/// any Soc, SocTester, or other program, so several workers may run one
-/// program at once against their own *distinct* Soc instances with no
-/// synchronization.
-struct CompiledProgram {
-  std::vector<sched::CoreTestSpec> specs;
-  sched::Schedule schedule;
-  std::uint64_t pattern_seed = 1;
-
-  /// Total scan-pattern budget across all cores.
-  [[nodiscard]] std::size_t total_patterns() const {
-    std::size_t n = 0;
-    for (const auto& s : specs) n += s.patterns;
-    return n;
-  }
-};
-
-/// Compiles a complete program for \p soc: derives the core specs
-/// (specs_of), schedules them on the SoC's own bus width with \p strategy
-/// (via the pure sched::schedule_with entry point, so equal inputs compile
-/// byte-identical programs — the property the floor's program caches rely
-/// on). Strategies other than sched::Strategy::Best always yield an
-/// executable (chip-synchronous) program; Best may not — run_program
-/// rejects those. Read-only on the SoC: compilation never touches
-/// simulation state, so one const Soc may serve compile_program while a
-/// cached program for the same geometry is being re-run elsewhere.
-CompiledProgram compile_program(const Soc& soc, sched::Strategy strategy,
-                                std::size_t patterns_per_ff = 1,
-                                std::uint64_t pattern_seed = 1);
-
-/// Executes a compiled program against \p soc (the same SoC geometry it
-/// was compiled for) — a thin wrapper over run_schedule.
-ScheduleRunReport run_program(Soc& soc, SocTester& tester,
-                              const CompiledProgram& program);
 
 }  // namespace casbus::soc

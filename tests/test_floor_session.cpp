@@ -1,13 +1,12 @@
 // The streaming test-floor service: live submission, slot-ordered polling,
-// bounded backpressure, graceful close, the floor-wide program/verdict
-// cache, and the refactor's headline guarantee — deterministic summaries
+// bounded backpressure, graceful close, the floor-wide verdict cache,
+// and the refactor's headline guarantee — deterministic summaries
 // that are byte-identical across worker counts, cache settings, and the
 // batch-vs-streaming API split.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <memory>
 #include <thread>
 
 #include "floor/job_factory.hpp"
@@ -30,6 +29,26 @@ std::vector<JobSpec> repeated_jobs(std::uint64_t seed, std::size_t count,
     spec.id = i;
     jobs.push_back(spec);
   }
+  return jobs;
+}
+
+/// The first \p count JobFactory(seed) recipes that, with the strategy
+/// forced to Best, error deterministically: Best may pick a rail-emulation
+/// schedule, which run_schedule refuses. Ids follow \p first_id.
+std::vector<JobSpec> erroring_best_jobs(std::uint64_t seed,
+                                        std::size_t count,
+                                        std::size_t first_id) {
+  const JobFactory factory(seed);
+  std::vector<JobSpec> jobs;
+  for (std::size_t r = 0; r < 64 && jobs.size() < count; ++r) {
+    JobSpec spec = factory.make_job(r);
+    spec.strategy = sched::Strategy::Best;
+    if (run_job(spec).error.find("rail-emulation") == std::string::npos)
+      continue;
+    spec.id = first_id + jobs.size();
+    jobs.push_back(spec);
+  }
+  EXPECT_EQ(jobs.size(), count) << "too few erroring Best recipes";
   return jobs;
 }
 
@@ -173,35 +192,58 @@ TEST(FloorSession, StreamingMatchesBatchByteForByte) {
 }
 
 TEST(FloorSession, CacheOnAndOffAreByteIdenticalAt1And4Workers) {
-  // Repeated specs make the caches actually fire; the deterministic
-  // summary must not notice them, at any worker count.
-  const auto jobs = repeated_jobs(77, 24, 3);
+  // Repeated specs make the cache actually fire; the deterministic
+  // summary must not notice it, at any worker count. Three erroring
+  // recipes, each run twice, ride along: they must never be served.
+  auto jobs = repeated_jobs(77, 24, 3);
+  const std::size_t clean = jobs.size();
+  for (const JobSpec& spec : erroring_best_jobs(77, 3, 0)) {
+    for (int rerun = 0; rerun < 2; ++rerun) {
+      jobs.push_back(spec);
+      jobs.back().id = jobs.size() - 1;
+    }
+  }
+  ASSERT_EQ(jobs.size(), clean + 6);
 
   std::string reference;
   for (const std::size_t workers : {1u, 4u}) {
     for (const std::size_t cache : {0u, 8u}) {
-      for (const bool verdicts : {false, true}) {
-        FloorConfig config;
-        config.workers = workers;
-        config.cache_capacity = cache;
-        config.reuse_verdicts = verdicts;
-        const FloorReport report = TestFloor(config).run(jobs);
-        if (reference.empty()) reference = report.deterministic_summary();
-        EXPECT_EQ(report.deterministic_summary(), reference)
-            << "workers=" << workers << " cache=" << cache
-            << " verdicts=" << verdicts;
-        // The cache serves repeats whenever it is enabled at all: with
-        // verdict reuse every repeat hits; program-tier-only still hits
-        // for every repeated scheduled recipe.
-        if (cache > 0 && verdicts) {
-          EXPECT_GE(report.cache_hits, jobs.size() - 3 * workers);
-        }
-        if (cache == 0) {
-          EXPECT_EQ(report.cache_hits, 0u);
-        }
+      FloorConfig config;
+      config.workers = workers;
+      config.cache_capacity = cache;
+      const FloorReport report = TestFloor(config).run(jobs);
+      if (reference.empty()) reference = report.deterministic_summary();
+      EXPECT_EQ(report.deterministic_summary(), reference)
+          << "workers=" << workers << " cache=" << cache;
+      for (std::size_t i = clean; i < jobs.size(); ++i) {
+        EXPECT_FALSE(report.results[i].error.empty()) << "job " << i;
+        EXPECT_FALSE(report.results[i].cache_hit()) << "job " << i;
+      }
+      // Every clean repeat hits once its recipe is qualified; at most
+      // one job per worker and recipe can miss before that.
+      if (cache > 0) {
+        EXPECT_GE(report.cache_hits, clean - 3 * workers);
+      } else {
+        EXPECT_EQ(report.cache_hits, 0u);
       }
     }
   }
+}
+
+TEST(FloorSession, ErroredRecipesAreNeverCached) {
+  // An error may be environmental, so an errored recipe is never
+  // qualified, and no other record of it is kept: every rerun runs cold.
+  const std::vector<JobSpec> erroring = erroring_best_jobs(77, 1, 0);
+  ASSERT_EQ(erroring.size(), 1u);
+  ProgramCache cache(16);
+  for (std::size_t i = 0; i < 3; ++i) {
+    JobSpec spec = erroring.front();
+    spec.id = i;
+    const JobResult result = run_job(spec, &cache);
+    EXPECT_FALSE(result.error.empty()) << "job " << i;
+    EXPECT_EQ(result.cache_tier, CacheTier::None) << "job " << i;
+  }
+  EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(FloorSession, VerdictReuseRestampsJobIds) {
@@ -218,8 +260,6 @@ TEST(FloorSession, VerdictReuseRestampsJobIds) {
     }
   }
   EXPECT_EQ(report.cache_hits, 7u);
-  EXPECT_EQ(report.verdict_tier_hits, 7u);
-  EXPECT_EQ(report.program_tier_hits, 0u);
 }
 
 TEST(FloorSession, EveryWorkerHitsOnceAnyWorkerQualified) {
@@ -294,7 +334,7 @@ TEST(ProgramCache, OneOffRecipesDoNotFlushAReusedOne) {
   EXPECT_TRUE(cache.reuse(reused).has_value());
 }
 
-TEST(ProgramCache, ConcurrentTiersOnOverlappingRecipes) {
+TEST(ProgramCache, ConcurrentLookupsOnOverlappingRecipes) {
   // Four threads drive every entry point over overlapping recipes of one
   // cache smaller than their union, so hits, promotions, demotions and
   // evictions interleave; TSan checks the locking, the asserts check that
@@ -304,15 +344,9 @@ TEST(ProgramCache, ConcurrentTiersOnOverlappingRecipes) {
   ProgramCache cache(6);
   cache.set_telemetry(&registry, ids);
   constexpr std::size_t kRecipes = 12;
-  std::vector<std::shared_ptr<const soc::CompiledProgram>> programs;
-  for (std::size_t r = 0; r < kRecipes; ++r) {
-    auto program = std::make_shared<soc::CompiledProgram>();
-    program->pattern_seed = r;
-    programs.push_back(std::move(program));
-  }
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < 4; ++t) {
-    threads.emplace_back([&cache, &programs, t] {
+    threads.emplace_back([&cache, t] {
       for (std::size_t i = 0; i < 2000; ++i) {
         const std::size_t r = (i * (t + 1) + t) % kRecipes;
         JobSpec spec;
@@ -322,10 +356,6 @@ TEST(ProgramCache, ConcurrentTiersOnOverlappingRecipes) {
         result.sim_cycles = r;
         if (const auto memo = cache.reuse(spec)) {
           EXPECT_EQ(memo->sim_cycles, r);
-        } else if (const auto program = cache.find_program(spec)) {
-          EXPECT_EQ(program->pattern_seed, r);
-        } else {
-          cache.put_program(spec, programs[r]);
         }
         if (i % 3 == t % 3) cache.qualify(spec, result);
       }
@@ -347,7 +377,6 @@ TEST(ProgramCache, CapacityZeroDisablesEverything) {
   cache.qualify(spec, result);
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_FALSE(cache.reuse(spec).has_value());
-  EXPECT_EQ(cache.find_program(spec), nullptr);
 }
 
 TEST(ProgramCache, ReuseZeroesTimingAndMarksHit) {
@@ -370,21 +399,7 @@ TEST(ProgramCache, ReuseZeroesTimingAndMarksHit) {
   EXPECT_TRUE(memo->pass);
   const obs::Snapshot snap = registry.snapshot();
   EXPECT_EQ(snap.counter("floor.cache.hits.verdict"), 1u);
-  EXPECT_EQ(snap.counter("floor.cache.hits.program"), 0u);
   EXPECT_EQ(snap.counter("floor.cache.lookups"), 1u);
-}
-
-TEST(ProgramCache, VerdictTierCanBeDisabledIndependently) {
-  ProgramCache cache(4, /*reuse_verdicts=*/false);
-  JobSpec spec;
-  JobResult result;
-  result.pass = true;
-  cache.qualify(spec, result);
-  EXPECT_FALSE(cache.reuse(spec).has_value());
-  // The program tier still works.
-  auto program = std::make_shared<soc::CompiledProgram>();
-  cache.put_program(spec, program);
-  EXPECT_EQ(cache.find_program(spec), program);
 }
 
 }  // namespace

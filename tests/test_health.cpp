@@ -303,7 +303,7 @@ TEST(HealthMonitor, CacheHitRateFloorAndStageCeilingJudgeMetrics) {
 
   // 10% windowed hit-rate under a 50% floor (and under half of it).
   stats.counter(FloorCounter::CacheLookups) = 100;
-  stats.counter(FloorCounter::CacheProgramHits) = 10;
+  stats.counter(FloorCounter::CacheVerdictHits) = 10;
   // Simulate p99 at 2x its ceiling: critical.
   auto& sim = stats.stages[static_cast<std::size_t>(Stage::Simulate)];
   sim.count = 50;

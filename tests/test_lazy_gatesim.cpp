@@ -639,10 +639,12 @@ TEST(ShiftPlanOracle, FoutEqualsFullSweepOnEveryFunctionalCycle) {
     FoutOracle oracle(*soc);
     soc->simulation().add(&oracle);
     soc::SocTester tester(*soc);
-    const soc::CompiledProgram program =
-        soc::compile_program(*soc, sched::Strategy::Greedy, 1, seed);
+    const auto specs = soc::specs_of(*soc);
+    const sched::Schedule schedule =
+        sched::schedule_with(specs, soc->bus().width(),
+                             sched::Strategy::Greedy);
     const soc::ScheduleRunReport report =
-        soc::run_program(*soc, tester, program);
+        soc::run_schedule(*soc, tester, specs, schedule, seed);
     EXPECT_TRUE(report.all_pass) << seed;
     EXPECT_EQ(oracle.cores(), 3u);
     EXPECT_GT(oracle.functional_cycles(), 0u) << seed;

@@ -352,14 +352,13 @@ TEST(FloorTelemetry, StatsSnapshotCountsTheRun) {
   EXPECT_EQ(stats.queue.depth, 0u);
   EXPECT_LE(stats.queue.high_water, jobs.size());
   const auto c = [&stats](FloorCounter id) { return stats.counter(id); };
-  // Cache counters agree with the report's tier accounting.
+  // Cache counters agree with the report's hit accounting.
   EXPECT_EQ(c(FloorCounter::CacheLookups), jobs.size());
-  EXPECT_EQ(c(FloorCounter::CacheProgramHits), report.program_tier_hits);
-  EXPECT_EQ(c(FloorCounter::CacheVerdictHits), report.verdict_tier_hits);
-  // Every job that executed recorded one Build-stage observation (Build
-  // is never skipped by any cache tier except verdict reuse).
+  EXPECT_EQ(c(FloorCounter::CacheVerdictHits), report.cache_hits);
+  // Every job that executed recorded one Build-stage observation (only a
+  // cache hit skips Build).
   const auto& build = stats.stages[static_cast<std::size_t>(Stage::Build)];
-  EXPECT_EQ(build.count, jobs.size() - report.verdict_tier_hits);
+  EXPECT_EQ(build.count, jobs.size() - report.cache_hits);
   EXPECT_GE(build.total_seconds, 0.0);
   // Workers accumulated busy time; a trace was recorded without drops.
   EXPECT_EQ(stats.worker_busy_seconds.size(), 2u);
@@ -417,7 +416,7 @@ TEST(FloorTelemetry, StatsJsonWireFormatIsPinned) {
   stats.queue.backpressure_engages = 5;
   stats.queue.backpressure_releases = 5;
   for (std::size_t i = 0; i < kFloorCounterCount; ++i)
-    stats.counters[i] = i * 1000 + 7;  // precompute: 9007 µs
+    stats.counters[i] = i * 1000 + 7;  // precompute: 8007 µs
   for (std::size_t s = 0; s < kStageCount; ++s) {
     StageDigest& d = stats.stages[s];
     d.count = s + 1;
@@ -440,19 +439,19 @@ TEST(FloorTelemetry, StatsJsonWireFormatIsPinned) {
       ",\"queue\":{\"depth\":3,\"capacity\":64,\"high_water\":9"
       ",\"pushed\":41,\"popped\":38"
       ",\"backpressure_engages\":5,\"backpressure_releases\":5}"
-      ",\"cache\":{\"lookups\":2007,\"program_hits\":3007"
-      ",\"verdict_hits\":4007,\"insertions\":5007,\"evictions\":6007"
-      ",\"hit_rate\":3.49476831}"
-      ",\"sim\":{\"memo_lookups\":7007,\"memo_hits\":8007"
-      ",\"precompute_seconds\":0.009007,\"eval_passes\":10007"
-      ",\"cell_evals\":11007,\"sweep_cell_evals\":12007}"
-      ",\"sched\":{\"nodes_expanded\":13007,\"prunes\":14007"
-      ",\"improvements\":15007,\"leaves_priced\":16007}"
-      ",\"kernel\":{\"cycles\":17007,\"settles\":18007"
-      ",\"delta_passes\":19007,\"gate_evals\":20007"
-      ",\"gate_sweeps\":21007,\"gate_cells\":22007"
-      ",\"sweeps_per_cycle\":1.23519727"
-      ",\"settle_passes_per_cycle\":1.11759864}"
+      ",\"cache\":{\"lookups\":2007"
+      ",\"verdict_hits\":3007,\"insertions\":4007,\"evictions\":5007"
+      ",\"hit_rate\":1.4982561}"
+      ",\"sim\":{\"memo_lookups\":6007,\"memo_hits\":7007"
+      ",\"precompute_seconds\":0.008007,\"eval_passes\":9007"
+      ",\"cell_evals\":10007,\"sweep_cell_evals\":11007}"
+      ",\"sched\":{\"nodes_expanded\":12007,\"prunes\":13007"
+      ",\"improvements\":14007,\"leaves_priced\":15007}"
+      ",\"kernel\":{\"cycles\":16007,\"settles\":17007"
+      ",\"delta_passes\":18007,\"gate_evals\":19007"
+      ",\"gate_sweeps\":20007,\"gate_cells\":21007"
+      ",\"sweeps_per_cycle\":1.24989067"
+      ",\"settle_passes_per_cycle\":1.12494534}"
       ",\"stages\":{\"build\":{\"count\":1,\"total_seconds\":0.25"
       ",\"p50_us\":10,\"p90_us\":20,\"p99_us\":40},"
       "\"schedule\":{\"count\":2,\"total_seconds\":0.5,\"p50_us\":20"
@@ -526,7 +525,7 @@ TEST(FloorTelemetry, VerdictReuseLandsInTheVerdictTierCounter) {
   for (const JobSpec& spec : jobs) ASSERT_TRUE(session.submit(spec));
   const FloorReport report = session.drain();
   const FloorStats stats = session.stats_snapshot();
-  EXPECT_EQ(report.verdict_tier_hits, 4u);
+  EXPECT_EQ(report.cache_hits, 4u);
   EXPECT_EQ(stats.counter(FloorCounter::CacheVerdictHits), 4u);
   EXPECT_EQ(stats.counter(FloorCounter::CacheLookups), 5u);
   EXPECT_NEAR(stats.cache_hit_rate(), 0.8, 1e-9);

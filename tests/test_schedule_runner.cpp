@@ -77,6 +77,58 @@ INSTANTIATE_TEST_SUITE_P(All, RunnerStrategies,
                            return std::string(info.param);
                          });
 
+// --- Mutation oracle: corrupted BIST and MARCH signatures fail ------------
+// The floor's scheduled scenarios run specs_of -> sched::schedule_with ->
+// run_schedule; these drive that path on a SoC shaped like a floor BistJoin
+// job (a logic-BIST engine, an embedded memory, scan cores on a 4-wire
+// bus). Greedy keeps every BIST inside its own session, so the phased
+// spanning-BIST carry (a known source of fault-free false fails) is not
+// involved.
+
+std::unique_ptr<Soc> build_bist_join_soc() {
+  SocBuilder b(4);
+  b.add_bist_core("lbist", spec(21, 1, 12), 96);
+  b.add_memory_core("ram", 16, 8);
+  b.add_scan_core("scan0", spec(22, 1, 10));
+  b.add_scan_core("scan1", spec(23, 2, 12));
+  return b.build();
+}
+
+ScheduleRunReport run_greedy(Soc& soc) {
+  SocTester tester(soc);
+  const auto specs = specs_of(soc);
+  const sched::Schedule schedule = sched::schedule_with(
+      specs, soc.bus().width(), sched::Strategy::Greedy);
+  EXPECT_FALSE(schedule.bist_spans_sessions);
+  return run_schedule(soc, tester, specs, schedule, 3);
+}
+
+TEST(ScheduleRunnerOracle, FaultFreeBistJoinSocPasses) {
+  auto soc = build_bist_join_soc();
+  const ScheduleRunReport report = run_greedy(*soc);
+  EXPECT_TRUE(report.all_pass);
+  EXPECT_GT(report.sessions, 0u);
+}
+
+TEST(ScheduleRunnerOracle, StuckNetInBistLogicFailsTheRun) {
+  auto soc = build_bist_join_soc();
+  // The spec is deterministic, so regenerating it yields the engine's net
+  // numbering.
+  const tpg::SyntheticCore logic = tpg::make_synthetic_core(spec(21, 1, 12));
+  netlist::NetId ffq = netlist::kNoNet;
+  for (const auto& [net, name] : logic.netlist.net_names())
+    if (name == "ff_q0") ffq = net;
+  ASSERT_NE(ffq, netlist::kNoNet);
+  soc->cores()[0].as_bist().inject_fault(ffq, true);
+  EXPECT_FALSE(run_greedy(*soc).all_pass);
+}
+
+TEST(ScheduleRunnerOracle, StuckMemoryBitFailsTheRun) {
+  auto soc = build_bist_join_soc();
+  soc->cores()[1].as_memory().inject_stuck_bit(5, 3, true);
+  EXPECT_FALSE(run_greedy(*soc).all_pass);
+}
+
 TEST(ScheduleRunner, RejectsRailEmulation) {
   auto soc = build_mixed_soc();
   SocTester tester(*soc);

@@ -301,7 +301,7 @@ TEST(VerifyNetlist, MutationBrokenScanChainIsExactlyNl007) {
 TEST(VerifyNetlist, WrongChainLengthIsExactlyNl007) {
   const tpg::SyntheticCore core = clean_core();
   verify::NetlistLintConfig config = chain_config(core);
-  config.scan_chains[0].length += 1;  // CompiledProgram expects one more FF
+  config.scan_chains[0].length += 1;  // the schedule expects one more FF
   const LintReport report = verify::lint_netlist(core.netlist, config);
   EXPECT_EQ(error_rules(report),
             std::set<RuleId>{RuleId::ScanChainBroken});

@@ -74,7 +74,7 @@ FLOOR_REQUIRED_RECORDS = (
     ("stages", "seconds"),
 )
 
-FLOOR_REQUIRED_CACHE_CONFIGS = ("cold", "program_tier", "warm")
+FLOOR_REQUIRED_CACHE_CONFIGS = ("cold", "warm")
 
 # (config, metric) cache records the hit-rate gate
 # (check_perf_gates.py --floor) consumes.

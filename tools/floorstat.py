@@ -69,10 +69,9 @@ def print_snapshot(s):
           f" pushed={queue.get('pushed', 0)} popped={queue.get('popped', 0)}"
           f" backpressure={queue.get('backpressure_engages', 0)}")
     lookups = cache.get("lookups", 0)
-    hits = cache.get("program_hits", 0) + cache.get("verdict_hits", 0)
+    hits = cache.get("verdict_hits", 0)
     print(f"  cache: {hits}/{lookups} hits ({fmt_rate(hits, lookups)})"
-          f" — program={cache.get('program_hits', 0)}"
-          f" verdict={cache.get('verdict_hits', 0)}"
+          f" — verdict={hits}"
           f" insertions={cache.get('insertions', 0)}"
           f" evictions={cache.get('evictions', 0)}")
     # Engine sections print every key the snapshot carries, so a new
@@ -136,7 +135,7 @@ def print_diff(old, new):
 
 def _hits(s):
     cache = s.get("cache", {})
-    return cache.get("program_hits", 0) + cache.get("verdict_hits", 0)
+    return cache.get("verdict_hits", 0)
 
 
 def digest_line(s, prev=None):
