@@ -7,16 +7,17 @@
 /// gap, wall time, and wall time *per core* (the scalability axis), and a
 /// width x strategy Pareto sweep is reported for the 100-core SoC.
 ///
-/// Gates consumed by CI (bench-trajectory job):
+/// Gates consumed by CI (tools/bench_gates.json, applied by
+/// tools/check_bench.py in the bench-trajectory job):
 ///   - 10-core mixed: branch-and-bound proves optimality and matches
 ///     exact_schedule (gap_vs_exact == 0),
 ///   - 1000-core mixed: a schedule is produced within the node budget with
 ///     a finite certified bound_gap,
-///   - parallel_bb / parallel_bb_throughput (check_perf_gates.py
-///     --explore): the multi-threaded search ladder must certify a
-///     1000-core gap strictly below the single-thread population row, and
-///     nodes/sec must scale with threads on hosts with enough hardware
-///     (hw-aware: >= 2.5x at 8 hw threads, >= 1.8x at 4, skipped below).
+///   - parallel_bb / parallel_bb_throughput: the multi-threaded search
+///     ladder must certify a 1000-core gap strictly below the
+///     single-thread population row, and nodes/sec must scale with
+///     threads on hosts with enough hardware (hw-aware: >= 2.5x at 8 hw
+///     threads, >= 1.8x at 4, skipped below).
 ///
 /// The parallel section exercises both halves of the engine's contract
 /// (see explore/branch_bound.hpp): the *gap ladder* gives each thread

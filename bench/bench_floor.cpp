@@ -3,8 +3,8 @@
 /// and repeated-spec caching.
 ///
 /// Part 1 (scaling): streams one fixed, scenario-diverse batch of test
-/// programs (the default scan:4,bist:2,hier:1,maint:1 mix) through the
-/// TestFloor worker pool at 1, 2, 4, ... workers, reporting programs/sec
+/// programs (the default scan:4,bist:2,hier:1,maint:1 mix) through a
+/// FloorSession worker pool at 1, 2, 4, ... workers, reporting programs/sec
 /// and sim-cycles/sec per sweep point plus the speedup over the 1-worker
 /// baseline. Also checks the floor's determinism rule on the way: every
 /// sweep point must produce the same deterministic aggregate summary
@@ -12,7 +12,8 @@
 ///
 /// Part 2 (streaming): drives the live FloorSession API — jobs submitted
 /// while the workers run, producer throttled by the bounded queue — and
-/// verifies the streamed report is byte-identical to the batch adapter's.
+/// verifies the streamed report is byte-identical to a one-worker session
+/// fed the whole list with submit_batch.
 ///
 /// Part 3 (cache): a repeated-spec mix run cold and with the cache of
 /// qualified verdicts, reporting the cache's honest speedup. A last
@@ -36,10 +37,22 @@
 #include "explore/soc_generator.hpp"
 #include "floor/job_factory.hpp"
 #include "floor/session.hpp"
-#include "floor/test_floor.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
+
+namespace {
+
+/// Opens a session of \p config, submits \p jobs in one batch, and drains.
+casbus::floor::FloorReport run_batch(
+    const casbus::floor::FloorConfig& config,
+    const std::vector<casbus::floor::JobSpec>& jobs) {
+  casbus::floor::FloorSession session(config);
+  session.submit_batch(jobs);
+  return session.drain();
+}
+
+}  // namespace
 
 int main() {
   using namespace casbus;
@@ -78,8 +91,7 @@ int main() {
   bool all_pass = true;
 
   for (const std::size_t workers : sweep) {
-    const TestFloor floor(FloorConfig{workers});
-    const FloorReport report = floor.run(jobs);
+    const FloorReport report = run_batch(FloorConfig{workers}, jobs);
 
     const double pps = report.programs_per_sec();
     if (workers == 1) base_pps = pps;
@@ -152,7 +164,7 @@ int main() {
              std::uint64_t{deterministic ? 1u : 0u});
 
   // --- Part 2: streaming session (submit-while-running) ---------------------
-  banner("FLOOR-STREAM", "streaming session vs batch adapter");
+  banner("FLOOR-STREAM", "streaming session vs one-worker batch");
 
   const auto stream_jobs = explore::SocGenerator(kSeed).floor_jobs(
       32, explore::SocProfile::Mixed);
@@ -160,7 +172,7 @@ int main() {
   stream_config.workers = 4;
   stream_config.queue_capacity = 8;
 
-  const FloorReport batch_ref = TestFloor(stream_config).run(stream_jobs);
+  const FloorReport batch_ref = run_batch(FloorConfig{1}, stream_jobs);
 
   FloorSession session(stream_config);
   std::size_t polled_live = 0;
@@ -231,7 +243,7 @@ int main() {
     FloorConfig config;
     config.workers = 4;
     config.cache_capacity = point.cache_capacity;
-    const FloorReport report = TestFloor(config).run(repeated);
+    const FloorReport report = run_batch(config, repeated);
 
     const double pps = report.programs_per_sec();
     if (std::string(point.label) == "cold") cold_pps = pps;
@@ -293,7 +305,7 @@ int main() {
   }
   FloorConfig zipf_config;
   zipf_config.workers = 1;
-  const FloorReport zipf_report = TestFloor(zipf_config).run(zipf);
+  const FloorReport zipf_report = run_batch(zipf_config, zipf);
   all_pass = all_pass && zipf_report.all_pass();
   const double zipf_hit_rate = static_cast<double>(zipf_report.cache_hits) /
                                static_cast<double>(zipf_report.total.jobs);

@@ -11,15 +11,15 @@
 ///   - floor overhead: an identical repeated-spec job mix run through
 ///     FloorSession with telemetry fully off and fully on
 ///     (metrics + tracing), reporting both throughputs and the relative
-///     overhead fraction that the CI gate caps at 5%
-///     (tools/check_perf_gates.py --obs, bound in tools/bench_floors.json),
+///     overhead fraction that the CI gate caps at 5%,
 ///   - health-engine costs: µs per TimeSeriesSampler tick over the full
-///     floor metric catalogue (gated at obs.max_sampler_tick_us — the
-///     budget one background tick may spend inside the registry) and µs
-///     per HealthMonitor::evaluate over the whole rule catalogue (gated
-///     at obs.max_health_eval_us).
+///     floor metric catalogue (gated at 50 µs — the budget one background
+///     tick may spend inside the registry) and µs per
+///     HealthMonitor::evaluate over the whole rule catalogue (gated at
+///     50 µs).
 ///
-/// Artifact: BENCH_obs.json (validated in CI by check_bench_json.py --obs).
+/// Artifact: BENCH_obs.json. Its required records and caps are entries of
+/// tools/bench_gates.json, applied in CI by tools/check_bench.py.
 
 #include <algorithm>
 #include <chrono>

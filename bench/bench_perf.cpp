@@ -320,7 +320,7 @@ BENCHMARK(BM_FaultSim64)->Arg(64)->Arg(256);
 /// (run_fault_campaign). The detection maps are byte-identical at every
 /// thread count; speedup at 4 threads over 1 is the campaign-level
 /// scaling (acceptance target: >= 2.5x on >= 4 physical cores — see
-/// docs/BENCHMARKS.md and tools/check_perf_gates.py).
+/// docs/BENCHMARKS.md and tools/bench_gates.json).
 void BM_FaultSimThreaded(benchmark::State& state) {
   const std::int64_t n_gates = 1024;
   const tpg::SyntheticCore& core = faultcore_for(n_gates);

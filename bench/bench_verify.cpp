@@ -12,7 +12,7 @@
 ///     cores across strategies (metric: microseconds per session and per
 ///     design).
 ///
-/// Artifact: BENCH_verify.json (validated in CI by check_bench_json.py,
+/// Artifact: BENCH_verify.json (schema-checked in CI by check_bench.py,
 /// like every other bench artifact).
 
 #include <chrono>

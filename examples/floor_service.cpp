@@ -14,16 +14,16 @@
 /// --workers 0 (the default) uses one worker per hardware thread.
 /// --strategy forces one scheduling strategy onto every job (the factory
 /// otherwise mixes them); `best` is refused, since it may pick
-/// rail-emulation schedules the tester cannot execute. --stream drives
-/// the live FloorSession API instead of the batch adapter: jobs are
-/// submitted while the workers run (throttled by --queue-capacity) and
-/// results are printed as they complete, in arrival order. --cache sets
-/// the cache entries per worker: the floor's one shared cache of
-/// qualified results holds C x workers recipes (0 disables it). Each job
-/// runs on the thread of the worker that picked it up. --summary
+/// rail-emulation schedules the tester cannot execute. Jobs are submitted
+/// to a live FloorSession while its workers run (throttled by
+/// --queue-capacity); --stream additionally prints each result as it
+/// completes, in arrival order. --cache sets the cache entries per
+/// worker: the floor's one shared cache of qualified results holds
+/// C x workers recipes (0 disables it). Each job runs on the thread of
+/// the worker that picked it up. --summary
 /// additionally prints the deterministic aggregate summary — the text
-/// that is guaranteed byte-identical for any worker count, batch or
-/// streaming, cache on or off, at a fixed seed.
+/// that is guaranteed byte-identical for any worker count, queue
+/// capacity, or cache setting at a fixed seed.
 ///
 /// Telemetry (docs/OBSERVABILITY.md):
 ///   --stats-json FILE       write the final FloorStats snapshot as
@@ -43,10 +43,9 @@
 ///                           on every critical transition
 ///   --health-json FILE      write the final HealthReport as one-line
 ///                           JSON (tools/floorhealth.py reads it)
-/// --watchdog-ms / --incident-dir / --health-json imply --health; any
-/// telemetry or health flag implies the live-session path (as if
-/// --stream). Telemetry and health observe only: the deterministic
-/// summary is byte-identical with these flags on or off.
+/// --watchdog-ms / --incident-dir / --health-json imply --health.
+/// Telemetry and health observe only: the deterministic summary is
+/// byte-identical with these flags on or off.
 
 #include <atomic>
 #include <chrono>
@@ -62,7 +61,6 @@
 
 #include "floor/job_factory.hpp"
 #include "floor/session.hpp"
-#include "floor/test_floor.hpp"
 #include "util/cli.hpp"
 
 namespace {
@@ -125,11 +123,6 @@ struct TelemetryOptions {
   std::size_t interval_ms = 0;  ///< live stderr tail period; 0 = off
   bool health = false;          ///< run + print the health engine
   std::string health_json;      ///< final HealthReport file; empty = off
-
-  [[nodiscard]] bool any() const {
-    return !stats_json.empty() || !trace_file.empty() || interval_ms > 0 ||
-           health;
-  }
 };
 
 /// Post-drain health settle: with the floor idle every rule's raw verdict
@@ -147,10 +140,10 @@ casbus::floor::HealthReport settle_health(
   return report;
 }
 
-/// Streaming mode: submit jobs one by one into the live session (the
-/// bounded queue throttles the producer) and print each result as the
-/// slot-ordered delivery hands it out.
-casbus::floor::FloorReport run_streaming(
+/// Submits jobs one by one into a live session (the bounded queue
+/// throttles the producer), optionally printing each result as the
+/// slot-ordered delivery hands it out, and drains it.
+casbus::floor::FloorReport run_session(
     casbus::floor::FloorConfig config,
     const std::vector<casbus::floor::JobSpec>& specs,
     const TelemetryOptions& telemetry, bool print_jobs) {
@@ -281,19 +274,13 @@ int main(int argc, char** argv) {
   telemetry.health = telemetry.health || config.health.watchdog_ms > 0 ||
                      !config.health.incident_dir.empty() ||
                      !telemetry.health_json.empty();
-  if (telemetry.any()) {
-    // The stats/trace surfaces live on FloorSession, so telemetry runs
-    // the live-session path even without --stream (job-by-job printing
-    // stays opt-in via --stream).
-    config.metrics =
-        !telemetry.stats_json.empty() || telemetry.interval_ms > 0;
-    config.health.enabled = telemetry.health;
-    if (!telemetry.trace_file.empty()) {
-      // One job-level span plus at most one span per pipeline stage per
-      // job; cached jobs record fewer. Sized exactly so a full run never
-      // drops (the acceptance bar for --trace).
-      config.trace_capacity = jobs * (kStageCount + 1);
-    }
+  config.metrics = !telemetry.stats_json.empty() || telemetry.interval_ms > 0;
+  config.health.enabled = telemetry.health;
+  if (!telemetry.trace_file.empty()) {
+    // One job-level span plus at most one span per pipeline stage per
+    // job; cached jobs record fewer. Sized exactly so a full run never
+    // drops (the acceptance bar for --trace).
+    config.trace_capacity = jobs * (kStageCount + 1);
   }
 
   const JobFactory factory(seed, mix);
@@ -305,16 +292,12 @@ int main(int argc, char** argv) {
 
   std::cout << "test floor: " << jobs << " jobs, "
             << casbus::effective_workers(config.workers)
-            << " worker(s), seed " << seed
-            << (stream || telemetry.any() ? ", streaming" : ", batch");
+            << " worker(s), seed " << seed;
   if (config.queue_capacity)
     std::cout << ", queue capacity " << config.queue_capacity;
   std::cout << "\n\n";
 
-  const FloorReport report =
-      stream || telemetry.any()
-          ? run_streaming(config, specs, telemetry, stream)
-          : TestFloor(config).run(specs);
+  const FloorReport report = run_session(config, specs, telemetry, stream);
   report.print(std::cout);
   if (summary) {
     std::cout << "\ndeterministic summary (worker-count invariant):\n"

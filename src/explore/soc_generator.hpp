@@ -75,9 +75,9 @@ class SocGenerator {
   /// through the executable set including the new BranchBound / Exact, and
   /// core counts clamped to what the cycle-accurate tester synthesizes in
   /// milliseconds. This is the bridge that lets a generated population be
-  /// replayed end-to-end through the floor — batch (floor::TestFloor) or
-  /// live (floor::FloorSession, where these specs are the submit stream;
-  /// bench_floor's streaming experiment drives exactly that).
+  /// replayed end-to-end through a floor::FloorSession, where these specs
+  /// are the submit stream (bench_floor's streaming experiment drives
+  /// exactly that).
   [[nodiscard]] std::vector<floor::JobSpec> floor_jobs(
       std::size_t count, SocProfile profile) const;
 

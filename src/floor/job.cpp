@@ -147,7 +147,7 @@ tpg::SyntheticCoreSpec job_core_spec(Rng& rng, std::size_t chains) {
 /// Scheduled scenarios (ScanOnly / BistJoin): synthesize the SoC, schedule
 /// it with the analytic scheduler, then execute cycle-accurately.
 void run_scheduled(const JobSpec& spec, bool with_engines, Rng& rng,
-                   bool verify, const JobTelemetry& obs, JobResult& result) {
+                   const JobTelemetry& obs, JobResult& result) {
   StageTimer timer(result, obs);
 
   // ---- Stage: Build -------------------------------------------------------
@@ -199,11 +199,9 @@ void run_scheduled(const JobSpec& spec, bool with_engines, Rng& rng,
   timer.finish(Stage::Schedule);
 
   // ---- Stage: Verify ------------------------------------------------------
-  if (verify) {
-    verify::LintReport lint = lint_soc(*soc);
-    lint.merge(verify::lint_schedule(schedule, specs, soc->bus().width()));
-    if (!verify_stage(lint, timer, result)) return;
-  }
+  verify::LintReport lint = lint_soc(*soc);
+  lint.merge(verify::lint_schedule(schedule, specs, soc->bus().width()));
+  if (!verify_stage(lint, timer, result)) return;
 
   // ---- Stage: Simulate ----------------------------------------------------
   soc::SocTester tester(*soc);
@@ -229,7 +227,7 @@ void run_scheduled(const JobSpec& spec, bool with_engines, Rng& rng,
 /// scheduler cannot express hierarchy, so the session is assembled by hand
 /// (charged to the Compile stage) and predicted directly with the time
 /// model.
-void run_hierarchical(const JobSpec& spec, Rng& rng, bool verify,
+void run_hierarchical(const JobSpec& spec, Rng& rng,
                       const JobTelemetry& obs, JobResult& result) {
   StageTimer timer(result, obs);
 
@@ -282,7 +280,7 @@ void run_hierarchical(const JobSpec& spec, Rng& rng, bool verify,
   timer.finish(Stage::Compile);
 
   // ---- Stage: Verify ------------------------------------------------------
-  if (verify && !verify_stage(lint_soc(*soc), timer, result)) return;
+  if (!verify_stage(lint_soc(*soc), timer, result)) return;
 
   // ---- Stage: Simulate ----------------------------------------------------
   const soc::ScanSessionResult r = tester.run_scan_session(session);
@@ -305,7 +303,7 @@ void run_hierarchical(const JobSpec& spec, Rng& rng, bool verify,
 /// scan-test a logic core in the same window. Passing requires the MBIST
 /// verdict, clean scan responses, and zero traffic read-back errors. The
 /// interleaved mission/test windows are all charged to Simulate.
-void run_maintenance(const JobSpec& spec, Rng& rng, bool verify,
+void run_maintenance(const JobSpec& spec, Rng& rng,
                      const JobTelemetry& obs, JobResult& result) {
   StageTimer timer(result, obs);
 
@@ -336,7 +334,7 @@ void run_maintenance(const JobSpec& spec, Rng& rng, bool verify,
   timer.finish(Stage::Compile);
 
   // ---- Stage: Verify ------------------------------------------------------
-  if (verify && !verify_stage(lint_soc(*soc), timer, result)) return;
+  if (!verify_stage(lint_soc(*soc), timer, result)) return;
 
   // ---- Stage: Simulate ----------------------------------------------------
   traffic.set_enabled(true);
@@ -459,7 +457,7 @@ void emit_job_telemetry(const JobTelemetry& obs, const JobResult& result,
 
 }  // namespace
 
-JobResult run_job(const JobSpec& spec, ProgramCache* cache, bool verify,
+JobResult run_job(const JobSpec& spec, ProgramCache* cache,
                   const JobTelemetry& obs) noexcept {
   const std::uint64_t job_start_us =
       obs.trace != nullptr ? obs.trace->now_us() : 0;
@@ -484,16 +482,16 @@ JobResult run_job(const JobSpec& spec, ProgramCache* cache, bool verify,
     Rng rng(spec.seed);
     switch (spec.scenario) {
       case ScenarioKind::ScanOnly:
-        run_scheduled(spec, /*with_engines=*/false, rng, verify, obs, result);
+        run_scheduled(spec, /*with_engines=*/false, rng, obs, result);
         break;
       case ScenarioKind::BistJoin:
-        run_scheduled(spec, /*with_engines=*/true, rng, verify, obs, result);
+        run_scheduled(spec, /*with_engines=*/true, rng, obs, result);
         break;
       case ScenarioKind::Hierarchical:
-        run_hierarchical(spec, rng, verify, obs, result);
+        run_hierarchical(spec, rng, obs, result);
         break;
       case ScenarioKind::Maintenance:
-        run_maintenance(spec, rng, verify, obs, result);
+        run_maintenance(spec, rng, obs, result);
         break;
     }
     // Clean runs qualify the recipe for verdict reuse; errors never do

@@ -62,8 +62,7 @@ inline constexpr std::size_t kScenarioCount = 4;
 /// to Compile and leave Schedule at zero. Verify is the static
 /// admission gate (src/verify/): it lints every generated netlist and the
 /// compiled schedule in microseconds, so a malformed design fails fast
-/// instead of burning the Simulate stage; FloorConfig::verify (or the
-/// run_job parameter) skips it.
+/// instead of burning the Simulate stage.
 enum class Stage {
   Build,     ///< synthesize the SoC (cores, wrappers, CAS-BUS)
   Schedule,  ///< analytic scheduling (specs_of + sched::schedule_with)
@@ -207,12 +206,9 @@ struct JobTelemetry {
 /// per-stage wall time in JobResult::stage_seconds. Never throws: scenario
 /// failures and precondition violations come back as JobResult::error.
 ///
-/// When \p verify is true (the default), the Verify stage lints every
-/// generated core netlist and the compiled schedule (src/verify/); an
-/// error-grade finding fails the job with the lint summary in
-/// JobResult::error and Simulate never runs. The lint functions are pure,
-/// so verify-on and verify-off runs of an admissible spec produce equal
-/// deterministic result fields.
+/// The Verify stage lints every generated core netlist and the compiled
+/// schedule (src/verify/); an error-grade finding fails the job with the
+/// lint summary in JobResult::error and Simulate never runs.
 ///
 /// When \p cache is non-null, a recipe that already ran cleanly skips the
 /// whole pipeline and returns its qualified result re-stamped with this
@@ -227,7 +223,6 @@ struct JobTelemetry {
 /// runs with telemetry off. Spans and counters are emitted per executed
 /// stage — a cache hit emits none (no stage ran).
 [[nodiscard]] JobResult run_job(const JobSpec& spec, ProgramCache* cache,
-                                bool verify = true,
                                 const JobTelemetry& obs = {}) noexcept;
 
 /// Cache-less convenience overload.

@@ -38,7 +38,7 @@ struct ScenarioStats {
   double worst_deviation = 0.0;  ///< max per-job |meas−pred|/pred
 };
 
-/// Outcome of one TestFloor::run() or FloorSession::drain(): per-job
+/// Outcome of one FloorSession::drain(): per-job
 /// results (in job-slot order), scenario breakdowns, totals, per-stage
 /// accounting, and throughput.
 struct FloorReport {

@@ -197,7 +197,7 @@ void FloorSession::worker_main(std::size_t worker) {
                                                                   start_)
                 .count()),
         std::memory_order_relaxed);
-    JobResult result = run_job(job->spec, cache, config_.verify, obs);
+    JobResult result = run_job(job->spec, cache, obs);
     const auto end = std::chrono::steady_clock::now();
     job_start_us_[worker].store(kWorkerIdle, std::memory_order_relaxed);
     result.wall_seconds =

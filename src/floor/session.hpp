@@ -19,12 +19,12 @@
 /// the workers have started are executed like any other; that is the
 /// point.
 ///
-/// ## Determinism guarantee (unchanged from the batch floor)
+/// ## Determinism guarantee
 /// drain()'s FloorReport folds results in arrival-slot order after the
 /// pool has joined, so every deterministic aggregate — everything in
 /// deterministic_summary() — is a function of the submitted job list
 /// alone: byte-identical for 1 worker and N workers, with the cache on or
-/// off, and to an equivalent batch TestFloor::run over the same list.
+/// off, and whether the list was submitted in one batch or job by job.
 /// The cache cannot break this because run_job is pure (see job.hpp);
 /// completion order cannot because results land by slot.
 /// Parallelism comes from `workers` alone: each job runs every stage on
@@ -64,11 +64,6 @@ struct FloorConfig {
   /// results holds cache_capacity × workers recipes (segmented LRU, see
   /// program_cache.hpp); 0 disables caching.
   std::size_t cache_capacity = 16;
-  /// Runs the static Verify stage (netlist + schedule lint, src/verify/)
-  /// on every job before Simulate; error-grade findings fail the job
-  /// without simulating. Cheap (µs per job) — disable only to measure its
-  /// cost or to force a known-bad design through the tester.
-  bool verify = true;
   /// Enables the metrics registry (src/obs/): per-thread-sharded counters
   /// and stage-latency histograms, surfaced by stats_snapshot(). Pure
   /// observation — cannot change any deterministic result or the

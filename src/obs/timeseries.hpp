@@ -29,7 +29,7 @@
 /// deterministic_summary() with the sampler on vs off. One tick costs one
 /// Registry::snapshot() plus O(series) ring stores — tens of µs on the
 /// floor catalogue, gated at <= 50 µs by bench_obs + CI
-/// (tools/bench_floors.json "obs.max_sampler_tick_us").
+/// (tools/bench_gates.json, sampler us_per_tick).
 ///
 /// ## Threading
 /// sample_now() is safe from any thread (internally serialized); start()

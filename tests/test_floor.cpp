@@ -14,7 +14,7 @@
 #include "floor/job_factory.hpp"
 #include "floor/job_queue.hpp"
 #include "floor/report.hpp"
-#include "floor/test_floor.hpp"
+#include "floor/session.hpp"
 #include "util/rng.hpp"
 
 namespace casbus::floor {
@@ -276,13 +276,20 @@ TEST(RunJob, InvalidSpecBecomesErrorResultNotException) {
   EXPECT_FALSE(result.error.empty());
 }
 
-// --- TestFloor --------------------------------------------------------------
+// --- FloorSession over a whole batch ---------------------------------------
 
-TEST(TestFloor, DrainsEveryJobExactlyOnceInInputOrder) {
+/// Opens a session of \p config, submits \p jobs in one batch, and drains.
+FloorReport run_batch(const FloorConfig& config,
+                      const std::vector<JobSpec>& jobs) {
+  FloorSession session(config);
+  EXPECT_EQ(session.submit_batch(jobs), jobs.size());
+  return session.drain();
+}
+
+TEST(FloorBatch, DrainsEveryJobExactlyOnceInInputOrder) {
   const JobFactory factory(99);
   const auto jobs = factory.make_jobs(9);
-  const TestFloor floor(FloorConfig{3});
-  const FloorReport report = floor.run(jobs);
+  const FloorReport report = run_batch(FloorConfig{3}, jobs);
 
   ASSERT_EQ(report.results.size(), jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -296,28 +303,27 @@ TEST(TestFloor, DrainsEveryJobExactlyOnceInInputOrder) {
   EXPECT_GT(report.total.sim_cycles, 0u);
 }
 
-TEST(TestFloor, WorkerCountEdgeCases) {
+TEST(FloorBatch, WorkerCountEdgeCases) {
   // 0 = auto-detect, clamped to at least one worker.
-  EXPECT_GE(TestFloor(FloorConfig{0}).workers(), 1u);
-  EXPECT_EQ(TestFloor(FloorConfig{1}).workers(), 1u);
-  EXPECT_EQ(TestFloor(FloorConfig{16}).workers(), 16u);
+  EXPECT_GE(FloorSession(FloorConfig{0}).workers(), 1u);
+  EXPECT_EQ(FloorSession(FloorConfig{1}).workers(), 1u);
 
   const JobFactory factory(5);
   const auto jobs = factory.make_jobs(3);
 
-  // More workers than jobs: the pool is capped at the job count and every
-  // job still runs exactly once.
-  const FloorReport many = TestFloor(FloorConfig{16}).run(jobs);
+  // More workers than jobs: every job still runs exactly once.
+  const FloorReport many = run_batch(FloorConfig{16}, jobs);
+  EXPECT_EQ(many.workers, 16u);
   EXPECT_EQ(many.total.jobs, 3u);
   EXPECT_TRUE(many.all_pass());
 
-  // An empty batch completes without spawning workers.
-  const FloorReport empty = TestFloor(FloorConfig{4}).run({});
+  // An empty batch drains to an empty report.
+  const FloorReport empty = run_batch(FloorConfig{4}, {});
   EXPECT_EQ(empty.total.jobs, 0u);
   EXPECT_TRUE(empty.results.empty());
 }
 
-TEST(TestFloor, PerScenarioAggregationIsExact) {
+TEST(FloorBatch, PerScenarioAggregationIsExact) {
   // One single-scenario batch per kind; the scenario bucket must hold the
   // whole batch and every other bucket must stay empty.
   for (std::size_t k = 0; k < kScenarioCount; ++k) {
@@ -325,8 +331,7 @@ TEST(TestFloor, PerScenarioAggregationIsExact) {
     mix.weight.fill(0);
     mix.weight[k] = 1;
     const JobFactory factory(11 + k, mix);
-    const FloorReport report =
-        TestFloor(FloorConfig{2}).run(factory.make_jobs(4));
+    const FloorReport report = run_batch(FloorConfig{2}, factory.make_jobs(4));
 
     EXPECT_EQ(report.scenario[k].jobs, 4u);
     EXPECT_EQ(report.scenario[k].passed, 4u);
@@ -342,11 +347,11 @@ TEST(TestFloor, PerScenarioAggregationIsExact) {
   }
 }
 
-TEST(TestFloor, ErroredJobIsIsolatedFromTheRest) {
+TEST(FloorBatch, ErroredJobIsIsolatedFromTheRest) {
   const JobFactory factory(21);
   auto jobs = factory.make_jobs(4);
   jobs[1].bus_width = 1;  // forces a precondition error inside the worker
-  const FloorReport report = TestFloor(FloorConfig{2}).run(jobs);
+  const FloorReport report = run_batch(FloorConfig{2}, jobs);
 
   EXPECT_FALSE(report.results[1].error.empty());
   EXPECT_EQ(report.total.errored, 1u);
@@ -354,21 +359,21 @@ TEST(TestFloor, ErroredJobIsIsolatedFromTheRest) {
   EXPECT_FALSE(report.all_pass());
 }
 
-TEST(TestFloor, DeterministicAggregatesAcrossWorkerCounts) {
+TEST(FloorBatch, DeterministicAggregatesAcrossWorkerCounts) {
   // The headline guarantee: byte-identical deterministic summaries for
-  // 1 worker and N workers on the same seed (see test_floor.hpp).
+  // 1 worker and N workers on the same seed (see session.hpp).
   const JobFactory factory(20260729);
   const auto jobs = factory.make_jobs(8);
 
-  const FloorReport serial = TestFloor(FloorConfig{1}).run(jobs);
-  const FloorReport parallel = TestFloor(FloorConfig{4}).run(jobs);
+  const FloorReport serial = run_batch(FloorConfig{1}, jobs);
+  const FloorReport parallel = run_batch(FloorConfig{4}, jobs);
 
   EXPECT_EQ(serial.deterministic_summary(), parallel.deterministic_summary());
   EXPECT_EQ(serial.total.sim_cycles, parallel.total.sim_cycles);
   EXPECT_EQ(serial.total.passed, parallel.total.passed);
   // And the summary is genuinely seed-sensitive.
   const FloorReport other =
-      TestFloor(FloorConfig{1}).run(JobFactory(20260730).make_jobs(8));
+      run_batch(FloorConfig{1}, JobFactory(20260730).make_jobs(8));
   EXPECT_NE(serial.deterministic_summary(), other.deterministic_summary());
 }
 

@@ -1,8 +1,8 @@
 // The streaming test-floor service: live submission, slot-ordered polling,
 // bounded backpressure, graceful close, the floor-wide verdict cache,
-// and the refactor's headline guarantee — deterministic summaries
-// that are byte-identical across worker counts, cache settings, and the
-// batch-vs-streaming API split.
+// and the floor's headline guarantee — deterministic summaries that are
+// byte-identical across worker counts, cache settings, and submission
+// patterns.
 
 #include <gtest/gtest.h>
 
@@ -12,10 +12,17 @@
 #include "floor/job_factory.hpp"
 #include "floor/program_cache.hpp"
 #include "floor/session.hpp"
-#include "floor/test_floor.hpp"
 
 namespace casbus::floor {
 namespace {
+
+/// Opens a session of \p config, submits \p jobs in one batch, and drains.
+FloorReport run_batch(const FloorConfig& config,
+                      const std::vector<JobSpec>& jobs) {
+  FloorSession session(config);
+  EXPECT_EQ(session.submit_batch(jobs), jobs.size());
+  return session.drain();
+}
 
 /// A repeated-spec job list: \p count jobs cycling through \p distinct
 /// base recipes (ids stay 0..count-1 so slots and summaries line up).
@@ -186,7 +193,7 @@ TEST(FloorSession, StreamingMatchesBatchByteForByte) {
   EXPECT_EQ(session.submit_batch(jobs), jobs.size());
   const FloorReport streamed = session.drain();
 
-  const FloorReport batch = TestFloor(FloorConfig{1}).run(jobs);
+  const FloorReport batch = run_batch(FloorConfig{1}, jobs);
   EXPECT_EQ(streamed.deterministic_summary(),
             batch.deterministic_summary());
 }
@@ -211,7 +218,7 @@ TEST(FloorSession, CacheOnAndOffAreByteIdenticalAt1And4Workers) {
       FloorConfig config;
       config.workers = workers;
       config.cache_capacity = cache;
-      const FloorReport report = TestFloor(config).run(jobs);
+      const FloorReport report = run_batch(config, jobs);
       if (reference.empty()) reference = report.deterministic_summary();
       EXPECT_EQ(report.deterministic_summary(), reference)
           << "workers=" << workers << " cache=" << cache;
@@ -250,7 +257,7 @@ TEST(FloorSession, VerdictReuseRestampsJobIds) {
   const auto jobs = repeated_jobs(55, 8, 1);  // one recipe, 8 jobs
   FloorConfig config;
   config.workers = 1;
-  const FloorReport report = TestFloor(config).run(jobs);
+  const FloorReport report = run_batch(config, jobs);
   ASSERT_EQ(report.results.size(), 8u);
   for (std::size_t i = 0; i < 8; ++i) {
     EXPECT_EQ(report.results[i].id, i);  // not the qualifying job's id
@@ -281,8 +288,7 @@ TEST(FloorSession, EveryWorkerHitsOnceAnyWorkerQualified) {
 
 TEST(FloorSession, StageSecondsCoverThePipeline) {
   const JobFactory factory(66);
-  const FloorReport report =
-      TestFloor(FloorConfig{2}).run(factory.make_jobs(6));
+  const FloorReport report = run_batch(FloorConfig{2}, factory.make_jobs(6));
   double total = 0.0;
   for (std::size_t s = 0; s < kStageCount; ++s) {
     EXPECT_GE(report.stage_seconds[s], 0.0);
